@@ -19,8 +19,10 @@ from .dendriform import ell, r as r_fold, w_left, w_right
 from .magnus import magnus_omega
 from .errors import InvalidPermutation
 from .ncalg import Elem, Word, WORD_SORT
-from .structures import from_selector
-from .suites import SUITES, Options, run_suites, suite_generator, suite_names
+from .structures import RBStructure, from_selector
+from .suites import (
+    OPERATOR_SUITES, SUITES, Options, run_suites, suite_generator, suite_names,
+)
 
 class UsageError(Exception):
     """Raised for configuration problems that should exit with code 2."""
@@ -82,25 +84,44 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _options(args) -> Options:
-    theta = None
-    if getattr(args, "theta", None) is not None:
-        try:
-            theta = Fraction(args.theta.replace("−", "-"))
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"cannot parse theta {args.theta!r}")
-    if getattr(args, "structure", None):
-        try:
-            from_selector(args.structure, theta=theta)
-        except (ValueError, TypeError) as exc:
-            raise UsageError(str(exc))
-    return Options(structure=getattr(args, "structure", None),
-                   n=getattr(args, "n", None),
-                   degree=getattr(args, "degree", None),
-                   cap=getattr(args, "cap", None),
-                   theta=theta,
-                   seed=getattr(args, "seed", 0),
-                   jobs=getattr(args, "jobs", 1))
+def _theta(args) -> Fraction | None:
+    if args.theta is None:
+        return None
+    try:
+        return Fraction(args.theta.replace("−", "-"))
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"cannot parse theta {args.theta!r}")
+
+
+def _structure(selector: str, theta):
+    try:
+        return from_selector(selector, theta=theta)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad structure {selector!r}: {exc}")
+
+
+def _options(args, suites=()) -> Options:
+    """Validate the suite options once, for the suites about to run.
+
+    Sizes must be at least 1 when given, the theta and the structure
+    selector must parse, and the operator suites need an operator structure.
+    """
+    theta = _theta(args)
+    for name in ("n", "degree", "cap"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise UsageError(f"--{name} must be >= 1, got {value}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.structure:
+        S = _structure(args.structure, theta)
+        wrong = [name for name in suites if name in OPERATOR_SUITES]
+        if wrong and not isinstance(S, RBStructure):
+            raise UsageError(f"suite {', '.join(wrong)} needs an operator "
+                             f"structure (rb-seqmat or rb-polymat), not "
+                             f"{args.structure!r}")
+    return Options(structure=args.structure, n=args.n, degree=args.degree,
+                   cap=args.cap, theta=theta, seed=args.seed, jobs=args.jobs)
 
 
 def _emit_reports(reports, fmt: str) -> int:
@@ -130,7 +151,6 @@ def _cmd_list_suites() -> int:
 
 
 def _cmd_verify(args) -> int:
-    options = _options(args)
     if args.suite:
         if args.suite not in SUITES:
             raise UsageError(
@@ -139,6 +159,11 @@ def _cmd_verify(args) -> int:
         names = [args.suite]
     else:
         names = suite_names()
+        if args.structure and not isinstance(
+                _structure(args.structure, _theta(args)), RBStructure):
+            # the operator suites do not apply to the chosen structure
+            names = [name for name in names if name not in OPERATOR_SUITES]
+    options = _options(args, names)
     return _emit_reports(run_suites(names, options), args.format)
 
 
@@ -207,15 +232,15 @@ def _cmd_pbw(args) -> int:
 
 
 def _cmd_magnus(args) -> int:
-    options = _options(args)
+    options = _options(args, ["magnus"])
     reports = run_suites(["magnus"], options)
     code = _emit_reports(reports, args.format)
     if args.emit_omega and args.format == "text":
-        cap = options.cap or 6
+        cap = 6 if options.cap is None else options.cap
         selectors = ([options.structure] if options.structure
                      else [rep.structure for rep in reports])
         for sel in selectors:
-            S = from_selector(sel, theta=options.theta)
+            S = _structure(sel, options.theta)
             a = suite_generator(S, options.seed)
             om = magnus_omega(S, a, cap)
             print(f"omega coefficients for {sel} (cap {cap}):")
@@ -225,11 +250,10 @@ def _cmd_magnus(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    options = _options(args)
     if args.n < 0 or (args.n == 0 and args.op in ("ell", "r", "dynkin")):
         raise UsageError(f"op {args.op} needs --n >= 1")
-    S = from_selector(args.structure, theta=options.theta)
-    a = suite_generator(S, options.seed)
+    S = _structure(args.structure, _theta(args))
+    a = suite_generator(S, args.seed)
     ops = {
         "w-right": lambda: w_right(S, a, args.n),
         "w-left": lambda: w_left(S, a, args.n),

@@ -14,8 +14,10 @@ operand with a nonzero unit coefficient, and only * is extended unitally.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import AxiomCheckFailure, EmptyArgumentList, SortMismatch, UnitMisuse
-from .ncalg import Elem
+from .ncalg import Elem, _accumulate
 
 __all__ = [
     "DendriformStructure", "OppositeStructure",
@@ -71,12 +73,21 @@ class DendriformStructure:
             raise SortMismatch(
                 f"element over {x.sort.name!r} fed to structure {self.name!r}")
 
+    def _half_into(self, data: dict, basis_fns, xs, ys) -> dict:
+        """Accumulate every half-product in basis_fns of xs by ys into data.
+
+        xs and ys are (key, coefficient) pairs of non-unit keys.
+        """
+        for k1, c1 in xs:
+            for k2, c2 in ys:
+                c = c1 * c2
+                for fn in basis_fns:
+                    _accumulate(data, fn(k1, k2)._terms, c)
+        return data
+
     def _half(self, basis_fn, x: Elem, y: Elem) -> Elem:
-        acc = self.zero()
-        for k1, c1 in x.items():
-            for k2, c2 in y.items():
-                acc = acc + basis_fn(k1, k2).scale(c1 * c2)
-        return acc
+        data = self._half_into({}, (basis_fn,), x._terms.items(), y._terms.items())
+        return Elem._trusted(self.sort, data)
 
     def left(self, x: Elem, y: Elem) -> Elem:
         """The half-product a < b; operands must be unit-free."""
@@ -98,19 +109,19 @@ class DendriformStructure:
         """The associative product a * b = a < b + a > b, extended unitally."""
         self._check_operand(x)
         self._check_operand(y)
+        unit = self.sort.unit_key
         cx, cy = x.unit_coeff, y.unit_coeff
-        a, b = x.without_unit(), y.without_unit()
-        acc = self.zero()
+        a = [(k, c) for k, c in x._terms.items() if k != unit]
+        b = [(k, c) for k, c in y._terms.items() if k != unit]
+        data: dict = {}
         if cx and cy:
-            acc = acc + self.unit().scale(cx * cy)
-        if cx and b:
-            acc = acc + b.scale(cx)
-        if cy and a:
-            acc = acc + a.scale(cy)
-        if a and b:
-            acc = acc + self._half(self.basis_left, a, b) \
-                      + self._half(self.basis_right, a, b)
-        return acc
+            data[unit] = cx * cy
+        if cx:
+            _accumulate(data, b, cx)
+        if cy:
+            _accumulate(data, a, cy)
+        self._half_into(data, (self.basis_left, self.basis_right), a, b)
+        return Elem._trusted(self.sort, data)
 
     # -- validation ---------------------------------------------------------
 
@@ -120,34 +131,43 @@ class DendriformStructure:
         Graded bases are filtered to total degree <= max_degree; ungraded ones
         use every triple the enumeration yields.  Returns the number of
         triples checked; raises AxiomCheckFailure on the first violation.
+
+        Graded triples are enumerated directly: for a degree budget r,
+        within[r] lists the keys of degree <= r in enumeration order, so the
+        triples come out in the order of the full triple loop with the
+        inadmissible ones left out, and none is ever visited.
         """
         keys = list(self.basis_keys(max_degree))
         degs = {k: self.degree(k) for k in keys}
-        graded = all(d is not None for d in degs.values())
+        if all(d is not None for d in degs.values()):
+            within = {r: [k for k in keys if degs[k] <= r]
+                      for r in range(max_degree + 1)}
+            triples = ((ka, kb, kc)
+                       for ka in keys
+                       for kb in within.get(max_degree - degs[ka], ())
+                       for kc in within.get(max_degree - degs[ka] - degs[kb], ()))
+        else:
+            triples = itertools.product(keys, repeat=3)
         checked = 0
-        for ka in keys:
-            for kb in keys:
-                for kc in keys:
-                    if graded and degs[ka] + degs[kb] + degs[kc] > max_degree:
-                        continue
-                    a, b, c = self.elem(ka), self.elem(kb), self.elem(kc)
-                    pairs = (
-                        ("(a<b)<c = a<(b*c)",
-                         self.left(self.left(a, b), c),
-                         self.left(a, self.star(b, c))),
-                        ("(a>b)<c = a>(b<c)",
-                         self.left(self.right(a, b), c),
-                         self.right(a, self.left(b, c))),
-                        ("a>(b>c) = (a*b)>c",
-                         self.right(a, self.right(b, c)),
-                         self.right(self.star(a, b), c)),
-                    )
-                    for label, lhs, rhs in pairs:
-                        if lhs != rhs:
-                            raise AxiomCheckFailure(
-                                self.name, label, (ka, kb, kc),
-                                lhs.render(max_terms=10), rhs.render(max_terms=10))
-                    checked += 1
+        for ka, kb, kc in triples:
+            a, b, c = self.elem(ka), self.elem(kb), self.elem(kc)
+            pairs = (
+                ("(a<b)<c = a<(b*c)",
+                 self.left(self.left(a, b), c),
+                 self.left(a, self.star(b, c))),
+                ("(a>b)<c = a>(b<c)",
+                 self.left(self.right(a, b), c),
+                 self.right(a, self.left(b, c))),
+                ("a>(b>c) = (a*b)>c",
+                 self.right(a, self.right(b, c)),
+                 self.right(self.star(a, b), c)),
+            )
+            for label, lhs, rhs in pairs:
+                if lhs != rhs:
+                    raise AxiomCheckFailure(
+                        self.name, label, (ka, kb, kc),
+                        lhs.render(max_terms=10), rhs.render(max_terms=10))
+            checked += 1
         return checked
 
     def __repr__(self) -> str:

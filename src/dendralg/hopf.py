@@ -26,7 +26,9 @@ from fractions import Fraction
 
 from .dendriform import DendriformStructure, w_right
 from .errors import EmptyWord, NormalizationError, SortMismatch
-from .ncalg import BasisSort, Elem, Series, Word, WORD_SORT
+from .ncalg import (
+    BasisSort, Elem, Series, Word, WORD_SORT, _accumulate, linear_combination,
+)
 
 __all__ = [
     "concat_mul", "dynkin_word", "GradedEndo", "identity_endo",
@@ -48,8 +50,9 @@ def concat_mul(x: Elem, y: Elem) -> Elem:
     """Concatenation product on word elements (the empty word is its unit)."""
     if x.sort != WORD_SORT or y.sort != WORD_SORT:
         raise SortMismatch("concat_mul expects word elements")
-    return Elem(WORD_SORT, [(w1 + w2, c1 * c2)
-                            for w1, c1 in x.items() for w2, c2 in y.items()])
+    return Elem._trusted(WORD_SORT, _accumulate({}, [
+        (w1 + w2, c1 * c2)
+        for w1, c1 in x._terms.items() for w2, c2 in y._terms.items()]))
 
 
 def dynkin_word(w) -> Elem:
@@ -128,7 +131,7 @@ def convolve(f: GradedEndo, g: GradedEndo) -> GradedEndo:
     def fn(w: Word) -> Elem:
         letters = w.letters
         n = len(letters)
-        acc = Elem.zero(WORD_SORT)
+        parts = []
         for k in range(n + 1):
             for picked in itertools.combinations(range(n), k):
                 chosen = set(picked)
@@ -140,8 +143,8 @@ def convolve(f: GradedEndo, g: GradedEndo) -> GradedEndo:
                     continue
                 gr = g(right)
                 if gr:
-                    acc = acc + concat_mul(fl, gr)
-        return acc
+                    parts.append((concat_mul(fl, gr), 1))
+        return linear_combination(WORD_SORT, parts)
 
     return GradedEndo(f"({f.name}*{g.name})", fn)
 
@@ -163,11 +166,10 @@ def convolution_expansion(n: int) -> Elem:
     composition denominators reconstruct the identity endomorphism.
     """
     word = Word(tuple(range(1, n + 1)))
-    acc = Elem.zero(WORD_SORT)
-    for comp in compositions(n):
-        endo = convolve_many(dynkin_degree_endo(i) for i in comp)
-        acc = acc + endo(word).scale(Fraction(1, comp_denominator(comp)))
-    return acc
+    return linear_combination(WORD_SORT, (
+        (convolve_many(dynkin_degree_endo(i) for i in comp)(word),
+         Fraction(1, comp_denominator(comp)))
+        for comp in compositions(n)))
 
 
 def ordered_partition_expansion(n: int) -> Elem:
@@ -176,15 +178,15 @@ def ordered_partition_expansion(n: int) -> Elem:
     D(J) brackets the increasing word on J; block sizes follow the
     composition (i1..ik).  The sum collapses to the single word x1...xn.
     """
-    acc = Elem.zero(WORD_SORT)
+    parts = []
     for comp in compositions(n):
         denom = Fraction(1, comp_denominator(comp))
         for blocks in _ordered_partitions(tuple(range(1, n + 1)), comp):
             term = Elem.unit(WORD_SORT)
             for block in blocks:
                 term = concat_mul(term, dynkin_word(Word(block)))
-            acc = acc + term.scale(denom)
-    return acc
+            parts.append((term, denom))
+    return linear_combination(WORD_SORT, parts)
 
 
 def _ordered_partitions(universe: tuple, sizes: tuple):
@@ -255,8 +257,9 @@ def comp_elem(*parts) -> Elem:
 
 def comp_mul(x: Elem, y: Elem) -> Elem:
     """Concatenation of compositions (the free associative product)."""
-    return Elem(COMP_SORT, [(c1 + c2, a * b)
-                            for c1, a in x.items() for c2, b in y.items()])
+    return Elem._trusted(COMP_SORT, _accumulate({}, [
+        (c1 + c2, a * b)
+        for c1, a in x._terms.items() for c2, b in y._terms.items()]))
 
 
 def comp_coproduct(x) -> dict:
@@ -292,10 +295,9 @@ def _generator_antipode(n: int) -> Elem:
         return Elem.unit(COMP_SORT)
     hit = _GEN_ANTIPODE.get(n)
     if hit is None:
-        acc = comp_elem(n)
-        for m in range(1, n):
-            acc = acc + comp_mul(_generator_antipode(m), comp_elem(n - m))
-        hit = -acc
+        hit = linear_combination(COMP_SORT, [(comp_elem(n), -1)] + [
+            (comp_mul(_generator_antipode(m), comp_elem(n - m)), -1)
+            for m in range(1, n)])
         _GEN_ANTIPODE[n] = hit
     return hit
 
@@ -304,13 +306,13 @@ def comp_antipode(x) -> Elem:
     """Antipode: anti-morphism extending the generator recursion."""
     if isinstance(x, tuple):
         x = Elem.term(COMP_SORT, x)
-    acc = Elem.zero(COMP_SORT)
+    parts = []
     for key, coeff in x.items():
         term = Elem.unit(COMP_SORT)
         for part in reversed(key):
             term = comp_mul(term, _generator_antipode(part))
-        acc = acc + term.scale(coeff)
-    return acc
+        parts.append((term, coeff))
+    return linear_combination(COMP_SORT, parts)
 
 
 def comp_grading(x) -> Elem:
@@ -324,12 +326,12 @@ def comp_dynkin_apply(x) -> Elem:
     """The Dynkin operator S * N in the composition basis."""
     if isinstance(x, tuple):
         x = Elem.term(COMP_SORT, x)
-    acc = Elem.zero(COMP_SORT)
+    parts = []
     for (lft, rgt), c in comp_coproduct(x).items():
         graded = comp_grading(rgt)
         if graded:
-            acc = acc + comp_mul(comp_antipode(lft), graded).scale(c)
-    return acc
+            parts.append((comp_mul(comp_antipode(lft), graded), c))
+    return linear_combination(COMP_SORT, parts)
 
 
 def comp_dynkin(n: int) -> Elem:
@@ -352,13 +354,13 @@ def eval_comp(S: DendriformStructure, a: Elem, x) -> Elem:
             cache[i] = w_right(S, a, i)
         return cache[i]
 
-    acc = S.zero()
+    parts = []
     for key, coeff in x.items():
         term = S.unit()
         for part in key:
             term = S.star(term, w(part))
-        acc = acc + term.scale(coeff)
-    return acc
+        parts.append((term, coeff))
+    return linear_combination(S.sort, parts)
 
 
 def w_coproduct(n: int) -> dict:
@@ -398,13 +400,13 @@ def gamma_coeffs(coeffs, mul, unit: Elem):
         raise NormalizationError("gamma needs a series with zero constant term")
     out = [unit]
     for n in range(1, len(coeffs)):
-        acc = unit - unit
+        parts = []
         for comp in compositions(n):
             term = unit
             for part in comp:
                 term = mul(term, coeffs[part])
-            acc = acc + term.scale(Fraction(1, comp_denominator(comp)))
-        out.append(acc)
+            parts.append((term, Fraction(1, comp_denominator(comp))))
+        out.append(linear_combination(unit.sort, parts))
     return out
 
 
@@ -435,13 +437,15 @@ def w_right_from_compositions(S: DendriformStructure, a: Elem, n: int) -> Elem:
             block[i] = ell(S, *([a] * i))
         return block[i]
 
-    acc = S.unit() if n == 0 else S.zero()
-    for comp in compositions(n) if n else []:
+    if n == 0:
+        return S.unit()
+    parts = []
+    for comp in compositions(n):
         term = S.unit()
         for part in comp:
             term = S.star(term, ell_block(part))
-        acc = acc + term.scale(Fraction(1, comp_denominator(comp)))
-    return acc
+        parts.append((term, Fraction(1, comp_denominator(comp))))
+    return linear_combination(S.sort, parts)
 
 
 def w_left_from_compositions(S: DendriformStructure, a: Elem, n: int) -> Elem:
@@ -460,10 +464,12 @@ def w_left_from_compositions(S: DendriformStructure, a: Elem, n: int) -> Elem:
             block[i] = r(S, *([a] * i))
         return block[i]
 
-    acc = S.unit() if n == 0 else S.zero()
-    for comp in compositions(n) if n else []:
+    if n == 0:
+        return S.unit()
+    parts = []
+    for comp in compositions(n):
         term = S.unit()
         for part in reversed(comp):
             term = S.star(term, r_block(part))
-        acc = acc + term.scale(Fraction(1, comp_denominator(comp)))
-    return acc
+        parts.append((term, Fraction(1, comp_denominator(comp))))
+    return linear_combination(S.sort, parts)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .dendriform import DendriformStructure, ell, prelie_left, prelie_right, r
 from .errors import EmptyArgumentList, EmptyWord
 from .hopf import comp_denominator, concat_mul, dynkin_word
-from .ncalg import Elem, Perm, Word, WORD_SORT
+from .ncalg import Elem, Perm, Word, WORD_SORT, _accumulate, elem_sum
 
 __all__ = [
     "Profile", "profile", "omega_conjugate", "t_sigma", "u_sigma",
@@ -188,14 +188,14 @@ def spitzer_sums(S: DendriformStructure, args) -> dict:
             r_c[idx] = hit
         return hit
 
-    rc_pairs, t_pairs, lc_pairs, u_pairs = [], [], [], []
+    rc_sum, t_sum, lc_sum, u_sum = {}, {}, {}, {}
     unit = S.unit()
     for image in itertools.permutations(range(n)):
-        rc_pairs.extend(chain_right(image).items())
-        lc_pairs.extend(chain_left(image).items())
+        _accumulate(rc_sum, chain_right(image)._terms)
+        _accumulate(lc_sum, chain_left(image)._terms)
         shifted = tuple(i + 1 for i in image)
-        for cuts, cache, pairs in ((_e_cuts(shifted), ell_at, t_pairs),
-                                   (_f_cuts(shifted), r_at, u_pairs)):
+        for cuts, cache, total in ((_e_cuts(shifted), ell_at, t_sum),
+                                   (_f_cuts(shifted), r_at, u_sum)):
             term = unit
             for block in _blocks(n, cuts):
                 factor = cache(tuple(image[p - 1] for p in block))
@@ -204,12 +204,12 @@ def spitzer_sums(S: DendriformStructure, args) -> dict:
                     break
                 term = S.star(term, factor)
             if term is not None:
-                pairs.extend(term.items())
+                _accumulate(total, term._terms)
     return {
-        "right_chain": Elem(S.sort, rc_pairs),
-        "t_sum": Elem(S.sort, t_pairs),
-        "left_chain": Elem(S.sort, lc_pairs),
-        "u_sum": Elem(S.sort, u_pairs),
+        "right_chain": Elem._trusted(S.sort, rc_sum),
+        "t_sum": Elem._trusted(S.sort, t_sum),
+        "left_chain": Elem._trusted(S.sort, lc_sum),
+        "u_sum": Elem._trusted(S.sort, u_sum),
     }
 
 
@@ -305,14 +305,15 @@ def pbw_expansion(beta) -> Elem:
     """
     if not isinstance(beta, Perm):
         beta = Perm(beta)
-    acc = Elem.zero(WORD_SORT)
-    for sigma in lyn_set(beta):
-        term = Elem.unit(WORD_SORT)
-        for vals in profile(sigma).e_values:
-            term = concat_mul(
-                term, dynkin_word(Word(tuple(beta(v) for v in vals))))
-        acc = acc + term
-    return acc
+    def terms():
+        for sigma in lyn_set(beta):
+            term = Elem.unit(WORD_SORT)
+            for vals in profile(sigma).e_values:
+                term = concat_mul(
+                    term, dynkin_word(Word(tuple(beta(v) for v in vals))))
+            yield term
+
+    return elem_sum(WORD_SORT, terms())
 
 
 def lyndon_census(n: int) -> dict:

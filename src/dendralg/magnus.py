@@ -12,8 +12,21 @@ coefficients of Omega satisfy the fixed-point recursion
 with B_k the Bernoulli numbers (B_1 = -1/2) and ad the product-commutator
 taken termwise on series.  Since every series involved has zero constant
 term, only finitely many k contribute in each degree and the recursion
-closes degree by degree.  The inverse pair exp*/log* lets the result be
-cross-checked: exp*(Omega) recovers Y exactly up to the cap.
+closes degree by degree (Ebrahimi-Fard and Manchon, "A Magnus- and Fer-type
+formula in dendriform algebras").  The inverse pair exp*/log* lets the
+result be cross-checked: exp*(Omega) recovers Y exactly up to the cap.
+
+The recursion is kept local to one degree.  The rows
+nested[k][m] = [t^m] ad(Omega)^k(tL) start at m = k + 1, so
+
+    nested[k][d] = sum(Omega_i * nested[k-1][j] - nested[k-1][j] * Omega_i,
+                       i + j = d, i >= 1, j >= k)
+
+needs only Omega_1..Omega_{d-k} and entries of row k-1 below degree d, all
+known when degree d is reached.  Degree d adds one entry to each of the rows
+1..d-1 and nothing else, so the whole series up to cap takes O(cap^3)
+element products, against O(cap^4) for re-expanding full-series
+commutators at every degree.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from fractions import Fraction
 
 from .dendriform import DendriformStructure, ell, w_right
 from .errors import NormalizationError
-from .ncalg import Elem, Series, series_inverse, series_mul
+from .ncalg import Elem, Series, linear_combination, series_inverse, series_mul
 
 __all__ = [
     "bernoulli_numbers", "star_exp", "star_log", "power_sum_series",
@@ -92,22 +105,27 @@ def magnus_omega(S: DendriformStructure, a: Elem, cap: int) -> Series:
     """
     tl = prelie_word_series(S, a, cap)
     bern = bernoulli_numbers(cap)
-
-    def commutator(f: Series, g: Series) -> Series:
-        return series_mul(f, g, S.star) - series_mul(g, f, S.star)
-
-    coeffs = [S.zero()]
+    weights = [Fraction((-1) ** k) * bern[k] / math.factorial(k)
+               for k in range(cap)]
+    omega = [S.zero()]
+    nested = [list(tl.coeffs)]  # nested[k][m] = [t^m] ad(Omega)^k(tL)
     for d in range(1, cap + 1):
-        omega = Series(S.sort, coeffs + [S.zero()] * (cap + 1 - len(coeffs)), cap)
-        rhs = tl
-        nested = tl
+        rhs = [(tl.coeff(d), 1)]
         for k in range(1, d):
-            nested = commutator(omega, nested)
-            weight = Fraction((-1) ** k) * bern[k] / math.factorial(k)
-            if weight:
-                rhs = rhs + nested.scale(weight)
-        coeffs.append(rhs.coeff(d).scale(Fraction(1, d)))
-    return Series(S.sort, coeffs, cap)
+            if k == len(nested):
+                nested.append([S.zero()] * (cap + 1))
+            prev = nested[k - 1]
+            parts = []
+            for j in range(k, d):
+                om, x = omega[d - j], prev[j]
+                if om and x:
+                    parts.append((S.star(om, x), 1))
+                    parts.append((S.star(x, om), -1))
+            nested[k][d] = linear_combination(S.sort, parts)
+            if weights[k]:
+                rhs.append((nested[k][d], weights[k]))
+        omega.append(linear_combination(S.sort, rhs).scale(Fraction(1, d)))
+    return Series(S.sort, omega, cap)
 
 
 def dynkin_ode_check(S: DendriformStructure, a: Elem, cap: int) -> bool:

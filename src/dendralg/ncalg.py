@@ -5,6 +5,15 @@ denominator).  An `Elem` is a finite linear combination of basis keys with a
 deterministic term order; a `Series` is a truncated power series in a formal
 parameter t whose coefficients are elements.  Words and permutations, the two
 basis key types shared by several structures, live here as well.
+
+Every sum of elements inside the package goes through one accumulation path:
+`_accumulate(data, terms, c)` adds c times some terms into a plain dict, and
+`Elem._trusted(sort, data)` drops the zero coefficients of that dict in place
+and wraps it without looking at its keys or scalars again.  A sum of k terms
+in total therefore costs O(k), however many summands it has.  Validation
+(that every key belongs to the sort, that every coefficient is an exact
+scalar) happens only in the public constructor `Elem(sort, terms)`, where
+outside data comes in.
 """
 
 from __future__ import annotations
@@ -208,6 +217,33 @@ def _bad_key(sort_name, key):
     raise SortMismatch(f"key {key!r} does not belong to basis sort {sort_name!r}")
 
 
+def _accumulate(data: dict, terms, c=1) -> dict:
+    """Add c * terms into data, in place, and return data.
+
+    The one accumulation path of the package.  data maps keys to Fractions
+    and may be left holding zeros; terms is a key -> coefficient mapping or
+    an iterable of (key, coefficient) pairs.  Nothing is checked: the caller
+    vouches that the keys belong to the sort of data, that the coefficients
+    are Fractions and that c is an int or a Fraction.
+    """
+    items = terms.items() if isinstance(terms, dict) else terms
+    get = data.get
+    if c == 1:
+        for key, v in items:
+            old = get(key)
+            data[key] = v if old is None else old + v
+    elif c == -1:
+        for key, v in items:
+            old = get(key)
+            data[key] = -v if old is None else old - v
+    else:
+        for key, v in items:
+            v = c * v
+            old = get(key)
+            data[key] = v if old is None else old + v
+    return data
+
+
 class Elem:
     """A finite linear combination of basis keys with rational coefficients.
 
@@ -239,6 +275,20 @@ class Elem:
         raise AttributeError("Elem is immutable; build a new one")
 
     @classmethod
+    def _trusted(cls, sort: BasisSort, data: dict) -> "Elem":
+        """Wrap a dict filled by `_accumulate`, dropping its zeros in place.
+
+        The dict is taken over, not copied, and its keys and scalars are not
+        validated again.
+        """
+        for key in [key for key, c in data.items() if not c]:
+            del data[key]
+        out = cls.__new__(cls)
+        object.__setattr__(out, "sort", sort)
+        object.__setattr__(out, "_terms", data)
+        return out
+
+    @classmethod
     def zero(cls, sort: BasisSort) -> "Elem":
         return cls(sort)
 
@@ -262,7 +312,7 @@ class Elem:
             return self
         rest = dict(self._terms)
         del rest[self.sort.unit_key]
-        return Elem(self.sort, rest)
+        return Elem._trusted(self.sort, rest)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -291,26 +341,26 @@ class Elem:
 
     def __add__(self, other: "Elem") -> "Elem":
         self._require_same_sort(other)
-        data = dict(self._terms)
-        for key, c in other._terms.items():
-            c = data.get(key, 0) + c
-            if c:
-                data[key] = c
-            else:
-                data.pop(key, None)
-        return Elem(self.sort, data)
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        return Elem._trusted(self.sort, _accumulate(dict(big), small))
 
     def __sub__(self, other: "Elem") -> "Elem":
-        return self + (-other)
+        self._require_same_sort(other)
+        data = dict(self._terms)
+        return Elem._trusted(self.sort, _accumulate(data, other._terms, -1))
 
     def __neg__(self) -> "Elem":
-        return Elem(self.sort, {k: -c for k, c in self._terms.items()})
+        return Elem._trusted(self.sort, {k: -c for k, c in self._terms.items()})
 
     def scale(self, c) -> "Elem":
         c = as_scalar(c)
         if not c:
             return Elem(self.sort)
-        return Elem(self.sort, {k: c * v for k, v in self._terms.items()})
+        if c == 1:
+            return self
+        return Elem._trusted(self.sort, {k: c * v for k, v in self._terms.items()})
 
     def __rmul__(self, c) -> "Elem":
         return self.scale(c)
@@ -324,10 +374,12 @@ class Elem:
 
     def map_keys(self, fn) -> "Elem":
         """Linear extension of a key-to-Elem map over the same sort."""
-        acc = Elem(self.sort)
+        data: dict = {}
         for key, c in self._terms.items():
-            acc = acc + fn(key).scale(c)
-        return acc
+            image = fn(key)
+            self._require_same_sort(image)
+            _accumulate(data, image._terms, c)
+        return Elem._trusted(self.sort, data)
 
     def render(self, max_terms: int | None = None) -> str:
         """Human form: terms joined by " + "/" - ", coefficient prefix p/q*
@@ -358,11 +410,18 @@ class Elem:
         return f"<Elem {self.sort.name}: {self.render(max_terms=8)}>"
 
 
+def linear_combination(sort: BasisSort, pairs) -> Elem:
+    """sum(c * e) over (e, c) pairs of elements of `sort` and exact scalars."""
+    data: dict = {}
+    for e, c in pairs:
+        if not isinstance(e, Elem) or e.sort != sort:
+            raise SortMismatch(f"expected an element over {sort.name!r}, got {e!r}")
+        _accumulate(data, e._terms, as_scalar(c))
+    return Elem._trusted(sort, data)
+
+
 def elem_sum(sort: BasisSort, elems: Iterable[Elem]) -> Elem:
-    acc = Elem(sort)
-    for e in elems:
-        acc = acc + e
-    return acc
+    return linear_combination(sort, ((e, 1) for e in elems))
 
 
 _TERM_RE = re.compile(r"^(?:(\d+(?:/\d+)?)\*)?(1|x\d+(?:\.x\d+)*)$")
@@ -410,7 +469,7 @@ def multilinear_part(e: Elem) -> Elem:
     if e.sort != WORD_SORT:
         raise SortMismatch("multilinear_part expects a word element")
     kept = {w: c for w, c in e._terms.items() if len(set(w.letters)) == len(w)}
-    return Elem(WORD_SORT, kept)
+    return Elem._trusted(WORD_SORT, kept)
 
 
 class Series:
@@ -520,12 +579,12 @@ def series_mul(f: Series, g: Series, mul: Callable[[Elem, Elem], Elem]) -> Serie
     cap = min(f.cap, g.cap)
     out = []
     for n in range(cap + 1):
-        acc = Elem(f.sort)
+        data: dict = {}
         for i in range(n + 1):
             fi, gj = f.coeffs[i], g.coeffs[n - i]
             if fi and gj:
-                acc = acc + mul(fi, gj)
-        out.append(acc)
+                _accumulate(data, mul(fi, gj)._terms)
+        out.append(Elem._trusted(f.sort, data))
     return Series(f.sort, out, cap)
 
 
@@ -536,9 +595,9 @@ def series_inverse(f: Series, mul: Callable[[Elem, Elem], Elem]) -> Series:
         raise NormalizationError("series inverse needs constant term 1")
     inv = [unit]
     for n in range(1, f.cap + 1):
-        acc = Elem(f.sort)
+        data: dict = {}
         for k in range(1, n + 1):
             if f.coeffs[k]:
-                acc = acc + mul(f.coeffs[k], inv[n - k])
-        inv.append(-acc)
+                _accumulate(data, mul(f.coeffs[k], inv[n - k])._terms, -1)
+        inv.append(Elem._trusted(f.sort, data))
     return Series(f.sort, inv, f.cap)

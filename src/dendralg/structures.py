@@ -31,7 +31,9 @@ from functools import lru_cache
 
 from .dendriform import DendriformStructure
 from .errors import RBWeightCheckFailure, SortMismatch
-from .ncalg import BasisSort, Elem, Perm, Word, PERM_SORT, WORD_SORT, as_scalar
+from .ncalg import (
+    BasisSort, Elem, Perm, Word, PERM_SORT, WORD_SORT, _accumulate, as_scalar,
+)
 
 __all__ = [
     "ShuffleStructure", "MaxStructure", "MRStructure", "FreeStructure",
@@ -296,8 +298,7 @@ class FreeStructure(DendriformStructure):
         if hit is None:
             acc = {}
             for e in (self.basis_left(u, v), self.basis_right(u, v)):
-                for t, c in e.items():
-                    acc[t] = acc.get(t, 0) + c
+                _accumulate(acc, e._terms)
             hit = tuple(acc.items())
             self._star_cache[(u, v)] = hit
         return hit
@@ -442,19 +443,17 @@ class RBStructure(DendriformStructure):
     # carrier-level helpers (unit key never appears here)
 
     def carrier_mul(self, x: Elem, y: Elem) -> Elem:
-        acc = self.zero()
-        for k1, c1 in x.items():
-            for k2, c2 in y.items():
-                for key, c in self.backend.mul_keys(k1, k2):
-                    acc = acc + Elem.term(self.sort, key, c1 * c2 * c)
-        return acc
+        mul_keys = self.backend.mul_keys
+        pairs = [(key, c1 * c2 * c)
+                 for k1, c1 in x._terms.items() for k2, c2 in y._terms.items()
+                 for key, c in mul_keys(k1, k2)]
+        return Elem._trusted(self.sort, _accumulate({}, pairs))
 
     def R(self, x: Elem) -> Elem:
-        acc = self.zero()
-        for key, c in x.items():
-            for key2, c2 in self.backend.r_key(key):
-                acc = acc + Elem.term(self.sort, key2, c * c2)
-        return acc
+        r_key = self.backend.r_key
+        pairs = [(key2, c * c2)
+                 for key, c in x._terms.items() for key2, c2 in r_key(key)]
+        return Elem._trusted(self.sort, _accumulate({}, pairs))
 
     def R_tilde(self, x: Elem) -> Elem:
         """The companion operator -theta*id - R, of the same weight."""

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from dendralg import SUITES, SuiteReport
+from dendralg import SUITES, Options, SuiteReport, run_suites
 from dendralg.cli import _emit_reports, main
 
 
@@ -211,6 +211,85 @@ class TestExpandCommand:
         assert code == 0
         assert payload["op"] == "w-right"
         assert payload["element"]
+
+
+class TestExitCodeContract:
+    """0 = every check passed, 1 = counterexample, 2 = usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "census", "--n", "0"),
+        ("verify", "--suite", "pbw", "--n", "-2"),
+        ("verify", "--suite", "axioms", "--degree", "0"),
+        ("verify", "--suite", "magnus", "--cap", "0"),
+        ("magnus", "--cap", "-1"),
+        ("verify", "--suite", "census", "--jobs", "0"),
+    ])
+    def test_sizes_below_one_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "must be >= 1" in err
+        assert out == ""
+
+    def test_zero_division_in_selector_is_a_usage_error(self, capsys):
+        code, _, err = run(capsys, "verify", "--suite", "axioms",
+                           "--structure", "rb-seqmat:theta=1/0")
+        assert code == 2
+        assert "rb-seqmat:theta=1/0" in err
+
+    def test_no_traceback_from_the_entry_point(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dendralg", "magnus", "--structure",
+             "rb-seqmat:theta=1/0"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("suite", ["rb-nested", "rb-spitzer"])
+    def test_operator_suite_on_a_word_structure(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite,
+                             "--structure", "shuffle")
+        assert code == 2
+        assert "operator structure" in err
+        assert out == ""
+
+    def test_all_suites_skip_the_operator_ones_for_a_word_structure(self, capsys):
+        code, out, _ = run(capsys, "verify", "--structure", "shuffle",
+                           "--n", "2", "--degree", "3", "--cap", "3",
+                           "--format", "json")
+        suites = {rep["suite"] for rep in json.loads(out)["reports"]}
+        assert code == 0
+        assert not suites & {"rb-nested", "rb-spitzer"}
+        assert "axioms" in suites and "magnus" in suites
+
+    def test_zero_check_report_is_not_a_pass(self):
+        (report,) = run_suites(["pbw"], Options(n=0))
+        assert report.checks == 0
+        assert report.status == "fail"
+        assert _emit_reports([report], "json") == 1
+
+    def test_zero_check_report_from_the_command_line(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "axioms",
+                           "--structure", "mr", "--degree", "2")
+        assert code == 1
+        assert out.startswith("[fail] axioms") and "checks=0" in out
+
+    def test_explicit_size_is_not_replaced_by_the_default(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "census", "--n", "1",
+                           "--format", "json")
+        (report,) = json.loads(out)["reports"]
+        assert code == 0
+        assert report["params"]["n"] == 1 and report["checks"] == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "magnus", "--structure", "free", "--cap", "2"),
+        ("magnus", "--structure", "free", "--cap", "1", "--emit-omega"),
+        ("verify", "--suite", "rb-spitzer", "--structure", "rb-polymat:k=1",
+         "--n", "1"),
+    ])
+    def test_small_sizes_run_cleanly(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "[pass]" in out
 
 
 def test_module_entry_point():
