@@ -20,9 +20,7 @@ from .magnus import magnus_omega
 from .errors import InvalidPermutation
 from .ncalg import Elem, Word, WORD_SORT
 from .structures import RBStructure, from_selector
-from .suites import (
-    OPERATOR_SUITES, SUITES, Options, run_suites, suite_generator, suite_names,
-)
+from .suites import OPERATOR_SUITES, SUITES, Options, run_suites, suite_names
 
 class UsageError(Exception):
     """Raised for configuration problems that should exit with code 2."""
@@ -51,8 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--theta", help="weight for operator structures, e.g. 2/3")
         p.add_argument("--seed", type=int, default=0,
                        help="PRNG seed for random-element checks (default 0)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for independent checks")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     common(sub.add_parser("verify", help="run verification suites"),
@@ -104,15 +100,17 @@ def _options(args, suites=()) -> Options:
     """Validate the suite options once, for the suites about to run.
 
     Sizes must be at least 1 when given, the theta and the structure
-    selector must parse, and the operator suites need an operator structure.
+    selector must parse, the operator suites need an operator structure, and
+    the axioms suite needs a degree bound that admits a triple.
     """
     theta = _theta(args)
     for name in ("n", "degree", "cap"):
         value = getattr(args, name)
         if value is not None and value < 1:
             raise UsageError(f"--{name} must be >= 1, got {value}")
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    # without --structure the axioms sweep includes shuffle, whose keys
+    # start at degree 1
+    low = 1
     if args.structure:
         S = _structure(args.structure, theta)
         wrong = [name for name in suites if name in OPERATOR_SUITES]
@@ -120,8 +118,15 @@ def _options(args, suites=()) -> Options:
             raise UsageError(f"suite {', '.join(wrong)} needs an operator "
                              f"structure (rb-seqmat or rb-polymat), not "
                              f"{args.structure!r}")
+        degrees = {S.degree(key) for key in S.basis_keys(1)}
+        low = None if None in degrees else min(degrees)
+    if ("axioms" in suites and args.degree is not None and low is not None
+            and 3 * low > args.degree):
+        raise UsageError(f"axioms needs --degree >= {3 * low} on "
+                         f"{args.structure or 'the graded structures'}: an "
+                         f"axiom triple has three keys of degree >= {low}")
     return Options(structure=args.structure, n=args.n, degree=args.degree,
-                   cap=args.cap, theta=theta, seed=args.seed, jobs=args.jobs)
+                   cap=args.cap, theta=theta, seed=args.seed)
 
 
 def _emit_reports(reports, fmt: str) -> int:
@@ -241,7 +246,7 @@ def _cmd_magnus(args) -> int:
                      else [rep.structure for rep in reports])
         for sel in selectors:
             S = _structure(sel, options.theta)
-            a = suite_generator(S, options.seed)
+            a = S.generator(options.seed)
             om = magnus_omega(S, a, cap)
             print(f"omega coefficients for {sel} (cap {cap}):")
             for d in range(1, cap + 1):
@@ -253,7 +258,7 @@ def _cmd_expand(args) -> int:
     if args.n < 0 or (args.n == 0 and args.op in ("ell", "r", "dynkin")):
         raise UsageError(f"op {args.op} needs --n >= 1")
     S = _structure(args.structure, _theta(args))
-    a = suite_generator(S, args.seed)
+    a = S.generator(args.seed)
     ops = {
         "w-right": lambda: w_right(S, a, args.n),
         "w-left": lambda: w_left(S, a, args.n),

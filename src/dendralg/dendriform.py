@@ -35,9 +35,11 @@ class DendriformStructure:
       basis_left(k1, k2), basis_right(k1, k2)
                   -- the half-products on non-unit keys, returning Elems whose
                      support never contains the unit key
-    Optional (needed by self-tests and random sampling):
+    Optional (needed by self-tests, random sampling and the suites):
       degree(key)            -- grading, or None when the basis is ungraded
       basis_keys(max_degree) -- iterable of non-unit keys to test on
+      generator(seed)        -- the unit-free element power sums expand
+      sweep_args(n, seed)    -- n arguments for the symmetric-group sweeps
     """
 
     name: str
@@ -54,6 +56,12 @@ class DendriformStructure:
 
     def basis_keys(self, max_degree):
         raise NotImplementedError(f"{self.name}: no basis enumeration")
+
+    def generator(self, seed: int = 0) -> Elem:
+        raise NotImplementedError(f"{self.name}: no generator")
+
+    def sweep_args(self, n: int, seed: int = 0) -> list:
+        raise NotImplementedError(f"{self.name}: no sweep arguments")
 
     # -- element-level operations ------------------------------------------
 

@@ -21,6 +21,7 @@ blocks over the denominators i1(i1+i2)...(i1+...+ik).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -389,6 +390,23 @@ def dynkin_w(S: DendriformStructure, a: Elem, n: int) -> Elem:
     return eval_comp(S, a, comp_dynkin(n))
 
 
+def _composition_sum(n: int, block, mul, unit: Elem) -> Elem:
+    """Sum over compositions (i1..ik) of n of
+    mul(...mul(mul(unit, block(i1)), block(i2))..., block(ik))
+    / (i1(i1+i2)...(i1+...+ik)).
+
+    The one composition-weighted sum of the module; n = 0 gives the unit,
+    the sum over the empty composition.
+    """
+    parts = []
+    for comp in compositions(n):
+        term = unit
+        for part in comp:
+            term = mul(term, block(part))
+        parts.append((term, Fraction(1, comp_denominator(comp))))
+    return linear_combination(unit.sort, parts)
+
+
 def gamma_coeffs(coeffs, mul, unit: Elem):
     """Composition-indexed exponential-like sum shared by all gamma variants.
 
@@ -398,16 +416,8 @@ def gamma_coeffs(coeffs, mul, unit: Elem):
     """
     if coeffs[0]:
         raise NormalizationError("gamma needs a series with zero constant term")
-    out = [unit]
-    for n in range(1, len(coeffs)):
-        parts = []
-        for comp in compositions(n):
-            term = unit
-            for part in comp:
-                term = mul(term, coeffs[part])
-            parts.append((term, Fraction(1, comp_denominator(comp))))
-        out.append(linear_combination(unit.sort, parts))
-    return out
+    return [_composition_sum(n, coeffs.__getitem__, mul, unit)
+            for n in range(len(coeffs))]
 
 
 def gamma(S: DendriformStructure, h: Series) -> Series:
@@ -430,22 +440,8 @@ def w_right_from_compositions(S: DendriformStructure, a: Elem, n: int) -> Elem:
     """
     from .dendriform import ell
 
-    block: dict = {}
-
-    def ell_block(i: int) -> Elem:
-        if i not in block:
-            block[i] = ell(S, *([a] * i))
-        return block[i]
-
-    if n == 0:
-        return S.unit()
-    parts = []
-    for comp in compositions(n):
-        term = S.unit()
-        for part in comp:
-            term = S.star(term, ell_block(part))
-        parts.append((term, Fraction(1, comp_denominator(comp))))
-    return linear_combination(S.sort, parts)
+    block = functools.cache(lambda i: ell(S, *([a] * i)))
+    return _composition_sum(n, block, S.star, S.unit())
 
 
 def w_left_from_compositions(S: DendriformStructure, a: Elem, n: int) -> Elem:
@@ -457,19 +453,6 @@ def w_left_from_compositions(S: DendriformStructure, a: Elem, n: int) -> Elem:
     """
     from .dendriform import r
 
-    block: dict = {}
-
-    def r_block(i: int) -> Elem:
-        if i not in block:
-            block[i] = r(S, *([a] * i))
-        return block[i]
-
-    if n == 0:
-        return S.unit()
-    parts = []
-    for comp in compositions(n):
-        term = S.unit()
-        for part in reversed(comp):
-            term = S.star(term, r_block(part))
-        parts.append((term, Fraction(1, comp_denominator(comp))))
-    return linear_combination(S.sort, parts)
+    block = functools.cache(lambda i: r(S, *([a] * i)))
+    return _composition_sum(n, block, lambda term, b: S.star(b, term),
+                            S.unit())

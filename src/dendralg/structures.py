@@ -30,9 +30,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .dendriform import DendriformStructure
-from .errors import RBWeightCheckFailure, SortMismatch
+from .errors import RBWeightCheckFailure
 from .ncalg import (
-    BasisSort, Elem, Perm, Word, PERM_SORT, WORD_SORT, _accumulate, as_scalar,
+    BasisSort, Elem, Perm, Word, PERM_SORT, WORD_SORT, _accumulate, _bad_key,
+    as_scalar,
 )
 
 __all__ = [
@@ -41,7 +42,7 @@ __all__ = [
     "shuffle_structure", "max_structure", "mr_structure", "free_structure",
     "rb_seqmat_structure", "rb_polymat_structure",
     "from_selector", "STANDARD_SELECTORS",
-    "default_generator", "random_element", "enumerate_trees",
+    "random_element", "enumerate_trees",
 ]
 
 
@@ -93,6 +94,12 @@ class _WordStructure(DendriformStructure):
             for letters in itertools.product(self.alphabet, repeat=d):
                 yield Word(letters)
 
+    def generator(self, seed: int = 0) -> Elem:
+        return self.elem(Word((1,)))
+
+    def sweep_args(self, n: int, seed: int = 0) -> list:
+        return [self.elem(Word((i,))) for i in range(1, n + 1)]
+
 
 class ShuffleStructure(_WordStructure):
     name = "shuffle"
@@ -120,6 +127,10 @@ class MaxStructure(_WordStructure):
             raise ValueError(f"unknown letter order {order!r}")
         self.order = order
         self.name = "max" if order == "increasing" else "max-rev"
+
+    def generator(self, seed: int = 0) -> Elem:
+        """x1 + x2: a letter sum rich enough to keep brackets nonzero."""
+        return self.elem(Word((1,))) + self.elem(Word((2,)))
 
     def _top(self, w: Word) -> int:
         ranks = w.letters if self.order == "increasing" else tuple(-a for a in w.letters)
@@ -172,6 +183,12 @@ class MRStructure(DendriformStructure):
         for d in range(1, max_degree + 1):
             for image in itertools.permutations(range(1, d + 1)):
                 yield Perm(image)
+
+    def generator(self, seed: int = 0) -> Elem:
+        return self.elem(Perm((1,)))
+
+    def sweep_args(self, n: int, seed: int = 0) -> list:
+        return [self.generator()] * n
 
 
 @lru_cache(maxsize=None)
@@ -245,12 +262,8 @@ TREE_SORT = BasisSort(
     LEAF,
     skey=lambda t: (t.deg, t.code),
     show=str,
-    check=lambda t: None if isinstance(t, Tree) else _sort_err("tree", t),
+    check=lambda t: None if isinstance(t, Tree) else _bad_key("tree", t),
 )
-
-
-def _sort_err(name, key):
-    raise SortMismatch(f"key {key!r} does not belong to basis sort {name!r}")
 
 
 @lru_cache(maxsize=None)
@@ -310,8 +323,11 @@ class FreeStructure(DendriformStructure):
         for d in range(1, max_degree + 1):
             yield from enumerate_trees(d)
 
-    def generator(self) -> Elem:
+    def generator(self, seed: int = 0) -> Elem:
         return self.elem(Tree(LEAF, LEAF))
+
+    def sweep_args(self, n: int, seed: int = 0) -> list:
+        return _random_args(self, n, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +503,12 @@ class RBStructure(DendriformStructure):
             return self.backend.keys(max_power=max_degree)
         return self.backend.keys()
 
+    def generator(self, seed: int = 0) -> Elem:
+        return _random_args(self, 1, seed)[0]
+
+    def sweep_args(self, n: int, seed: int = 0) -> list:
+        return _random_args(self, n, seed)
+
     def with_variant(self, variant: str) -> "RBStructure":
         if variant == self.variant:
             return self
@@ -494,13 +516,8 @@ class RBStructure(DendriformStructure):
         return RBStructure(self.backend, variant, name=base, check=False)
 
     def _weight_check(self, sample: int = 64):
-        keys = self.basis_keys(2)
-        keys = list(keys)
-        pairs = [(a, b) for a in keys for b in keys]
-        if len(pairs) > sample:
-            rng = random.Random(0)
-            pairs = rng.sample(pairs, sample)
-        for ka, kb in pairs:
+        keys = list(self.basis_keys(2))
+        for ka, kb in _sample_pairs(keys, sample, random.Random(0)):
             a, b = self.elem(ka), self.elem(kb)
             lhs = self.carrier_mul(self.R(a), self.R(b))
             inner = self.carrier_mul(self.R(a), b) + self.carrier_mul(a, self.R(b)) \
@@ -514,29 +531,25 @@ class RBStructure(DendriformStructure):
 # registration and selection
 # ---------------------------------------------------------------------------
 
-def shuffle_structure(alphabet=3, check_degree: int = 3) -> ShuffleStructure:
-    s = ShuffleStructure(alphabet)
-    s.self_test(check_degree)
-    return s
+def _self_tested(S: DendriformStructure) -> DendriformStructure:
+    S.self_test(3)
+    return S
 
 
-def max_structure(alphabet=3, order: str = "increasing",
-                  check_degree: int = 3) -> MaxStructure:
-    s = MaxStructure(alphabet, order)
-    s.self_test(check_degree)
-    return s
+def shuffle_structure(alphabet=3) -> ShuffleStructure:
+    return _self_tested(ShuffleStructure(alphabet))
 
 
-def mr_structure(check_degree: int = 3) -> MRStructure:
-    s = MRStructure()
-    s.self_test(check_degree)
-    return s
+def max_structure(alphabet=3, order: str = "increasing") -> MaxStructure:
+    return _self_tested(MaxStructure(alphabet, order))
 
 
-def free_structure(check_degree: int = 3) -> FreeStructure:
-    s = FreeStructure()
-    s.self_test(check_degree)
-    return s
+def mr_structure() -> MRStructure:
+    return _self_tested(MRStructure())
+
+
+def free_structure() -> FreeStructure:
+    return _self_tested(FreeStructure())
 
 
 def rb_seqmat_structure(theta=1, k: int = 2, N: int = 4, variant: str = "plain",
@@ -551,6 +564,15 @@ def rb_polymat_structure(k: int = 2, variant: str = "plain",
     return RBStructure(PolyMatBackend(k), variant, name=f"rb-polymat:k={k}",
                        check=check)
 
+
+# the selectors that take no parameters
+_PLAIN_SELECTORS = {
+    "shuffle": shuffle_structure,
+    "max": max_structure,
+    "max-rev": lambda: max_structure(order="decreasing"),
+    "mr": mr_structure,
+    "free": free_structure,
+}
 
 STANDARD_SELECTORS = (
     "shuffle",
@@ -580,21 +602,10 @@ def from_selector(text: str, theta=None) -> DendriformStructure:
                 raise ValueError(f"bad structure parameter {piece!r} in {text!r}")
             key = key.strip().replace("θ", "theta")
             params[key] = value.strip()
-    if head == "shuffle":
-        _no_params(text, params)
-        return shuffle_structure()
-    if head == "max":
-        _no_params(text, params)
-        return max_structure()
-    if head == "max-rev":
-        _no_params(text, params)
-        return max_structure(order="decreasing")
-    if head == "mr":
-        _no_params(text, params)
-        return mr_structure()
-    if head == "free":
-        _no_params(text, params)
-        return free_structure()
+    if head in _PLAIN_SELECTORS:
+        if params:
+            raise ValueError(f"selector {text!r} takes no parameters")
+        return _PLAIN_SELECTORS[head]()
     if head == "rb-seqmat":
         allowed = {"theta", "k", "N"}
         _only_params(text, params, allowed)
@@ -608,35 +619,10 @@ def from_selector(text: str, theta=None) -> DendriformStructure:
     raise ValueError(f"unknown structure selector {text!r}")
 
 
-def _no_params(text, params):
-    if params:
-        raise ValueError(f"selector {text!r} takes no parameters")
-
-
 def _only_params(text, params, allowed):
     extra = set(params) - allowed
     if extra:
         raise ValueError(f"selector {text!r}: unknown parameters {sorted(extra)}")
-
-
-def default_generator(S: DendriformStructure, rng: random.Random | None = None) -> Elem:
-    """A canonical unit-free element to expand power sums of.
-
-    Word structures get a letter sum rich enough to keep brackets nonzero,
-    operator-induced structures get a (seeded) random carrier element.
-    """
-    if isinstance(S, ShuffleStructure):
-        return S.elem(Word((1,)))
-    if isinstance(S, MaxStructure):
-        return S.elem(Word((1,))) + S.elem(Word((2,)))
-    if isinstance(S, MRStructure):
-        return S.elem(Perm((1,)))
-    if isinstance(S, FreeStructure):
-        return S.generator()
-    if isinstance(S, RBStructure):
-        return random_element(S, rng or random.Random(11), max_degree=1,
-                              nterms=min(4, len(list(S.basis_keys(1)))))
-    raise ValueError(f"no default generator for {S.name}")
 
 
 def random_element(S: DendriformStructure, rng: random.Random,
@@ -651,3 +637,21 @@ def random_element(S: DendriformStructure, rng: random.Random,
         den = rng.randint(1, 4)
         terms.append((key, Fraction(num, den)))
     return Elem(S.sort, terms)
+
+
+def _random_args(S: DendriformStructure, n: int, seed: int) -> list:
+    """n seeded random degree-one elements, drawn from one PRNG."""
+    rng = random.Random(seed)
+    return [random_element(S, rng, max_degree=1, nterms=3) for _ in range(n)]
+
+
+def _sample_pairs(keys: list, sample: int, rng: random.Random) -> list:
+    """All ordered pairs of keys, or `sample` of them drawn by rng.
+
+    The draw picks indices into the row-major pair list, so it selects the
+    same pairs as rng.sample over that list without ever building it.
+    """
+    n = len(keys)
+    if n * n <= sample:
+        return [(a, b) for a in keys for b in keys]
+    return [(keys[i // n], keys[i % n]) for i in rng.sample(range(n * n), sample)]

@@ -15,9 +15,9 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import hopf, lyndon, magnus
 from .dendriform import (
@@ -25,18 +25,17 @@ from .dendriform import (
     w_left, w_right,
 )
 from .errors import AxiomCheckFailure
-from .ncalg import (
-    Elem, Perm, Series, Word, WORD_SORT, elem_sum, multilinear_part,
-)
+from .ncalg import Elem, Series, Word, WORD_SORT, elem_sum, multilinear_part
 from .structures import (
-    MaxStructure, RBStructure, STANDARD_SELECTORS, from_selector,
-    random_element,
+    MaxStructure, RBStructure, STANDARD_SELECTORS, _sample_pairs,
+    from_selector, random_element,
 )
 
 __all__ = ["SuiteReport", "Options", "SUITES", "OPERATOR_SUITES", "run_suites",
-           "suite_generator", "suite_names"]
+           "suite_names"]
 
 RB_THETAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))
+_SEQMAT = STANDARD_SELECTORS[5]
 
 
 @dataclass
@@ -89,7 +88,6 @@ class Options:
     cap: int | None = None
     theta: Fraction | None = None
     seed: int = 0
-    jobs: int = 1
 
 
 class _Run:
@@ -151,55 +149,41 @@ def _given(value, default):
     return default if value is None else value
 
 
-def _selectors(options: Options, default: tuple) -> tuple:
+def _selectors(options: Options, default: tuple,
+               theta_sweep: bool = False) -> tuple:
+    """The selectors a suite runs on: --structure alone if given, else default.
+
+    With theta_sweep, default is followed by the seqmat at every weight of
+    RB_THETAS (only the --theta weight when given) and by rb-polymat.
+    Otherwise --theta turns the standard seqmat entry into bare rb-seqmat,
+    built at that weight; other entries, such as the seqmat rb-spitzer pins,
+    keep their own weight.
+    """
     if options.structure:
         return (options.structure,)
-    if options.theta is not None:
-        default = tuple(
-            "rb-seqmat" if s.startswith("rb-seqmat") else s for s in default)
-    return default
+    if theta_sweep:
+        thetas = RB_THETAS if options.theta is None else (options.theta,)
+        return (default + tuple(f"rb-seqmat:theta={th},k=2,N=4" for th in thetas)
+                + ("rb-polymat:k=2",))
+    if options.theta is None:
+        return default
+    return tuple("rb-seqmat" if s == _SEQMAT else s for s in default)
 
 
 def _build(selector: str, options: Options) -> DendriformStructure:
     return from_selector(selector, theta=options.theta)
 
 
-def _rb_theta_sweep(options: Options) -> tuple:
-    thetas = (options.theta,) if options.theta is not None else RB_THETAS
-    sels = tuple(f"rb-seqmat:theta={th},k=2,N=4" for th in thetas)
-    return sels + ("rb-polymat:k=2",)
-
-
-def _spitzer_args(S: DendriformStructure, n: int, seed: int) -> list:
-    """Arguments for the symmetric-group sweeps, per structure kind.
-
-    The word structures take single letters x1..xn, the permutation algebra
-    takes n copies of the one-letter permutation, and the operator-induced
-    structures take seeded random degree-one elements.
-    """
-    from .structures import MRStructure, ShuffleStructure
-
-    if isinstance(S, (ShuffleStructure, MaxStructure)):
-        return [S.elem(Word((i,))) for i in range(1, n + 1)]
-    if isinstance(S, MRStructure):
-        return [S.elem(Perm((1,)))] * n
-    rng = random.Random(seed)
-    return [random_element(S, rng, max_degree=1, nterms=3) for _ in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # the suites
 # ---------------------------------------------------------------------------
 
-def _axiom_selectors(options: Options) -> tuple:
-    if options.structure:
-        return (options.structure,)
-    return ("shuffle", "max", "max-rev", "mr", "free") + _rb_theta_sweep(options)
+GRADED_SELECTORS = ("shuffle", "max", "max-rev", "mr", "free")
 
 
 def suite_axioms(options: Options):
     degree = _given(options.degree, 5)
-    for sel in _axiom_selectors(options):
+    for sel in _selectors(options, GRADED_SELECTORS, theta_sweep=True):
         def thunk(sel=sel):
             run = _Run("axioms", sel, {"degree": degree})
             S = _build(sel, options)
@@ -220,7 +204,7 @@ def suite_axioms(options: Options):
 def suite_prelie_laws(options: Options):
     degree = _given(options.degree, 3)
     trials = 3
-    for sel in _axiom_selectors(options):
+    for sel in _selectors(options, GRADED_SELECTORS, theta_sweep=True):
         def thunk(sel=sel):
             run = _Run("prelie-laws", sel,
                        {"degree": degree, "seed": options.seed, "trials": trials})
@@ -270,20 +254,12 @@ def suite_dynkin_prelie(options: Options):
         def thunk(sel=sel):
             run = _Run("dynkin-prelie", sel, {"n": nmax, "seed": options.seed})
             S = _build(sel, options)
-            a = suite_generator(S, options.seed)
+            a = S.generator(options.seed)
             for n in range(1, nmax + 1):
                 run.equal(f"Dynkin image of the power sum = iterated pre-Lie word, n={n}",
                           hopf.dynkin_w(S, a, n), ell(S, *([a] * n)))
             return run.report()
         yield thunk
-
-
-def suite_generator(S: DendriformStructure, seed: int) -> Elem:
-    from .structures import default_generator
-
-    if isinstance(S, RBStructure):
-        return random_element(S, random.Random(seed), max_degree=1, nterms=3)
-    return default_generator(S)
 
 
 def suite_power_sums(options: Options):
@@ -292,7 +268,7 @@ def suite_power_sums(options: Options):
         def thunk(sel=sel):
             run = _Run("power-sums", sel, {"n": nmax, "seed": options.seed})
             S = _build(sel, options)
-            a = suite_generator(S, options.seed)
+            a = S.generator(options.seed)
             for n in range(1, nmax + 1):
                 run.equal(f"right power sum from compositions, n={n}",
                           hopf.w_right_from_compositions(S, a, n),
@@ -306,6 +282,8 @@ def suite_power_sums(options: Options):
 
 SPITZER_SELECTORS = ("shuffle", "max", "mr",
                      "rb-seqmat:theta=1,k=2,N=4", "rb-polymat:k=2")
+# a commutative carrier at k = 1, whatever the --theta weight
+RB_SPITZER_SELECTORS = ("rb-seqmat:theta=1,k=1,N=5", "rb-polymat:k=1")
 
 
 def suite_spitzer(options: Options):
@@ -314,8 +292,7 @@ def suite_spitzer(options: Options):
         def thunk(sel=sel):
             run = _Run("spitzer", sel, {"n": n, "seed": options.seed})
             S = _build(sel, options)
-            args = _spitzer_args(S, n, options.seed)
-            sums = lyndon.spitzer_sums(S, args)
+            sums = lyndon.spitzer_sums(S, S.sweep_args(n, options.seed))
             run.equal("symmetrized > chains = E-block pre-Lie products",
                       sums["right_chain"], sums["t_sum"])
             run.equal("symmetrized < chains = F-block pre-Lie products",
@@ -330,7 +307,7 @@ def suite_magnus(options: Options):
         def thunk(sel=sel):
             run = _Run("magnus", sel, {"cap": cap, "seed": options.seed})
             S = _build(sel, options)
-            a = suite_generator(S, options.seed)
+            a = S.generator(options.seed)
             om = magnus.magnus_omega(S, a, cap)
             l2, l3 = ell(S, a, a), ell(S, a, a, a)
             closed_forms = (
@@ -427,77 +404,76 @@ def _rb_nested_sums(S: RBStructure, args: list) -> tuple:
             elem_sum(S.sort, (nested_second(image) for image in perms)))
 
 
-def _rb_selectors(options: Options) -> tuple:
-    if options.structure:
-        return (options.structure,)
-    return _rb_theta_sweep(options)
+class _Corollary(NamedTuple):
+    """Both sides of the Rota-Baxter corollary for one argument list."""
+
+    args: list
+    plain: RBStructure
+    primed: RBStructure
+    nested1: Elem
+    nested2: Elem
+    t_sum: Elem
+    u_sum: Elem
+
+
+def _rb_corollary(suite: str, selectors: tuple, options: Options, checks):
+    """Thunks of one Rota-Baxter corollary suite; checks(run, S, c) is its own.
+
+    The shared part: the structure must be operator-induced, its sweep
+    arguments give the nested sums and the plain t_sum and primed u_sum.
+    """
+    n = _given(options.n, 5)
+    for sel in selectors:
+        def thunk(sel=sel):
+            run = _Run(suite, sel, {"n": n, "seed": options.seed})
+            S = _build(sel, options)
+            if not isinstance(S, RBStructure):
+                run.true("structure is operator-induced", False, S.name)
+                return run.report()
+            args = S.sweep_args(n, options.seed)
+            nested1, nested2 = _rb_nested_sums(S, args)
+            plain = S.with_variant("plain")
+            primed = S.with_variant("primed")
+            checks(run, S, _Corollary(
+                args, plain, primed, nested1, nested2,
+                lyndon.spitzer_sums(plain, args)["t_sum"],
+                lyndon.spitzer_sums(primed, args)["u_sum"]))
+            return run.report()
+        yield thunk
 
 
 def suite_rb_nested(options: Options):
-    n = _given(options.n, 5)
-    for sel in _rb_selectors(options):
-        def thunk(sel=sel):
-            run = _Run("rb-nested", sel, {"n": n, "seed": options.seed})
-            S = _build(sel, options)
-            if not isinstance(S, RBStructure):
-                run.true("structure is operator-induced", False, S.name)
-                return run.report()
-            rng = random.Random(options.seed)
-            args = [random_element(S, rng, max_degree=1, nterms=3)
-                    for _ in range(n)]
-            nested1, nested2 = _rb_nested_sums(S, args)
-            plain = S.with_variant("plain")
-            primed = S.with_variant("primed")
-            t_sum = lyndon.spitzer_sums(plain, args)["t_sum"]
-            u_sum = lyndon.spitzer_sums(primed, args)["u_sum"]
-            run.equal("nested operator chains (first kind) = E-block products",
-                      nested1, t_sum)
-            run.equal("nested operator chains (second kind) = primed F-block products",
-                      nested2, u_sum)
-            return run.report()
-        yield thunk
+    def checks(run, S, c):
+        run.equal("nested operator chains (first kind) = E-block products",
+                  c.nested1, c.t_sum)
+        run.equal("nested operator chains (second kind) = primed F-block products",
+                  c.nested2, c.u_sum)
+
+    return _rb_corollary("rb-nested", _selectors(options, (), theta_sweep=True),
+                         options, checks)
 
 
 def suite_rb_spitzer(options: Options):
-    n = _given(options.n, 5)
-    selectors = ((options.structure,) if options.structure
-                 else ("rb-seqmat:theta=1,k=1,N=5", "rb-polymat:k=1"))
-    for sel in selectors:
-        def thunk(sel=sel):
-            run = _Run("rb-spitzer", sel, {"n": n, "seed": options.seed})
-            S = _build(sel, options)
-            if not isinstance(S, RBStructure):
-                run.true("structure is operator-induced", False, S.name)
-                return run.report()
-            rng = random.Random(options.seed)
-            args = [random_element(S, rng, max_degree=1, nterms=3)
-                    for _ in range(n)]
-            nested1, nested2 = _rb_nested_sums(S, args)
-            plain = S.with_variant("plain")
-            primed = S.with_variant("primed")
-            t_sum = lyndon.spitzer_sums(plain, args)["t_sum"]
-            u_sum = lyndon.spitzer_sums(primed, args)["u_sum"]
-            run.equal("R image of nested chains = R image of E-block products",
-                      S.R(nested1), S.R(t_sum))
-            run.equal("R image of nested chains = R image of primed F-block products",
-                      S.R(nested2), S.R(u_sum))
-            if _commutative(S):
-                run.equal("commutative carrier: both corollary sides coincide",
-                          t_sum, u_sum)
-                if n >= 2:
-                    a, b = args[0], args[1]
-                    run.equal(
-                        "commutative carrier: both operator pre-Lie products agree",
-                        prelie_left(plain, a, b), prelie_right(primed, a, b))
-            return run.report()
-        yield thunk
+    def checks(run, S, c):
+        run.equal("R image of nested chains = R image of E-block products",
+                  S.R(c.nested1), S.R(c.t_sum))
+        run.equal("R image of nested chains = R image of primed F-block products",
+                  S.R(c.nested2), S.R(c.u_sum))
+        if _commutative(S):
+            run.equal("commutative carrier: both corollary sides coincide",
+                      c.t_sum, c.u_sum)
+            if len(c.args) >= 2:
+                a, b = c.args[0], c.args[1]
+                run.equal(
+                    "commutative carrier: both operator pre-Lie products agree",
+                    prelie_left(c.plain, a, b), prelie_right(c.primed, a, b))
+
+    return _rb_corollary("rb-spitzer", _selectors(options, RB_SPITZER_SELECTORS),
+                         options, checks)
 
 
 def _commutative(S: RBStructure, sample: int = 16) -> bool:
-    keys = list(S.basis_keys(1))
-    pairs = [(a, b) for a in keys for b in keys]
-    if len(pairs) > sample:
-        pairs = random.Random(1).sample(pairs, sample)
+    pairs = _sample_pairs(list(S.basis_keys(1)), sample, random.Random(1))
     return all(S.carrier_mul(S.elem(a), S.elem(b))
                == S.carrier_mul(S.elem(b), S.elem(a)) for a, b in pairs)
 
@@ -578,11 +554,7 @@ def run_suites(names, options: Options) -> list:
         if name not in SUITES:
             raise KeyError(name)
         thunks.extend(SUITES[name][0](options))
-    if options.jobs > 1:
-        with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-            reports = list(pool.map(lambda t: t(), thunks))
-    else:
-        reports = [t() for t in thunks]
+    reports = [t() for t in thunks]
     reports.sort(key=lambda rep: (rep.suite, rep.structure,
                                   repr(sorted(rep.params.items(), key=repr))))
     return reports

@@ -1,6 +1,8 @@
 """Run the docstring examples embedded in the source modules."""
 
 import doctest
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,3 +17,9 @@ MODULES = [ncalg, dendriform, structures, hopf, lyndon, magnus, suites, cli]
 def test_module_doctests(module):
     result = doctest.testmod(module, verbose=False)
     assert result.failed == 0
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})

@@ -210,16 +210,14 @@ class TestDynkinInStructures:
     def test_hopf_route_equals_iterated_prelie(self, fixture, request):
         """The coalgebra computation lands on the left-nested pre-Lie word."""
         S = request.getfixturevalue(fixture)
-        from dendralg.structures import default_generator
-        a = default_generator(S)
+        a = S.generator()
         for n in range(1, 5):
             assert dynkin_w(S, a, n) == ell(S, *([a] * n))
 
     @pytest.mark.parametrize("fixture", ["shuffle", "free"])
     def test_antipode_of_power_sum(self, fixture, request):
         S = request.getfixturevalue(fixture)
-        from dendralg.structures import default_generator
-        a = default_generator(S)
+        a = S.generator()
         for n in range(6):
             assert w_antipode(S, a, n) == (-1) ** n * w_left(S, a, n)
 
@@ -236,8 +234,7 @@ class TestGamma:
     @pytest.mark.parametrize("fixture", ["shuffle", "free", "rb_seq"])
     def test_inverts_dynkin_on_the_power_sum_series(self, fixture, request):
         S = request.getfixturevalue(fixture)
-        from dendralg.structures import default_generator
-        a = default_generator(S)
+        a = S.generator()
         cap = 4
         prelie = prelie_word_series(S, a, cap)
         assert gamma(S, prelie) == power_sum_series(S, a, cap)
@@ -257,8 +254,7 @@ class TestCompositionExpansions:
                                          "rb_seq", "rb_poly"])
     def test_both_expansions(self, fixture, request):
         S = request.getfixturevalue(fixture)
-        from dendralg.structures import default_generator
-        a = default_generator(S)
+        a = S.generator()
         for n in range(6):
             assert w_right_from_compositions(S, a, n) == w_right(S, a, n)
             assert w_left_from_compositions(S, a, n) == w_left(S, a, n)

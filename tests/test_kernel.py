@@ -15,7 +15,6 @@ from dendralg import (
 )
 from dendralg.magnus import prelie_word_series
 from dendralg.structures import MRStructure
-from dendralg.suites import suite_generator
 
 _BUILT: dict = {}
 
@@ -142,7 +141,7 @@ def full_series_omega(S, a, cap):
 @pytest.mark.parametrize("selector", STANDARD_SELECTORS)
 def test_magnus_omega_equals_the_full_series_recursion(selector):
     S = structure(selector)
-    a = suite_generator(S, 0)
+    a = S.generator(0)
     for cap in range(1, 6):
         assert magnus_omega(S, a, cap) == full_series_omega(S, a, cap)
 

@@ -9,7 +9,6 @@ from dendralg import (
     lie_bracket, magnus_omega, power_sum_series, star_exp, star_log, w_right,
 )
 from dendralg.magnus import prelie_word_series
-from dendralg.structures import default_generator
 
 
 def test_bernoulli_values():
@@ -75,7 +74,7 @@ class TestMagnus:
     @pytest.mark.parametrize("fixture", ["free", "rb_seq", "shuffle"])
     def test_first_three_coefficients(self, fixture, request):
         S = request.getfixturevalue(fixture)
-        a = default_generator(S)
+        a = S.generator()
         om = magnus_omega(S, a, 3)
         l1 = a
         l2 = ell(S, a, a)
@@ -92,7 +91,7 @@ class TestMagnus:
     @pytest.mark.parametrize("fixture", ["free", "rb_seq", "rb_poly"])
     def test_exponential_recovers_the_power_sum_series(self, fixture, request):
         S = request.getfixturevalue(fixture)
-        a = default_generator(S)
+        a = S.generator()
         cap = 5
         om = magnus_omega(S, a, cap)
         assert star_exp(S, om) == power_sum_series(S, a, cap)
@@ -100,7 +99,7 @@ class TestMagnus:
     @pytest.mark.parametrize("fixture", ["free", "shuffle"])
     def test_logarithm_inverts(self, fixture, request):
         S = request.getfixturevalue(fixture)
-        a = default_generator(S)
+        a = S.generator()
         cap = 5
         assert star_log(S, power_sum_series(S, a, cap)) == \
             magnus_omega(S, a, cap)
@@ -110,5 +109,5 @@ class TestMagnus:
 def test_flow_equation(fixture, request):
     """t dY/dt = Y * (Dynkin of Y), and its inverted form."""
     S = request.getfixturevalue(fixture)
-    a = default_generator(S)
+    a = S.generator()
     assert dynkin_ode_check(S, a, 5)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,7 @@ from dendralg import (
     rb_polymat_structure, rb_seqmat_structure,
 )
 from dendralg.ncalg import WORD_SORT
-from dendralg.structures import (
-    SeqMatBackend, default_generator, enumerate_trees,
-)
+from dendralg.structures import SeqMatBackend, _sample_pairs, enumerate_trees
 
 
 def x(*letters):
@@ -240,6 +239,32 @@ def test_weight_violation_is_caught():
     assert S.R(S.elem((1, 1, 1))) == seq(S, 1, 1, 1)
 
 
+def _listed_pairs(keys, sample, rng):
+    """The reference draw: build every pair, then sample the list."""
+    pairs = [(a, b) for a in keys for b in keys]
+    return rng.sample(pairs, sample) if len(pairs) > sample else pairs
+
+
+@pytest.mark.parametrize("nkeys,sample,seed", [
+    (3, 16, 1), (4, 16, 1), (5, 16, 1), (16, 64, 0), (512, 64, 0), (40, 1, 7),
+])
+def test_sampled_pairs_match_the_listed_draw(nkeys, sample, seed):
+    keys = [f"k{i}" for i in range(nkeys)]
+    assert _sample_pairs(keys, sample, random.Random(seed)) \
+        == _listed_pairs(keys, sample, random.Random(seed))
+
+
+def test_weight_check_memory_does_not_grow_with_the_pair_count():
+    """512 keys make 262144 pairs; the 64-pair check must not list them."""
+    tracemalloc.start()
+    try:
+        rb_seqmat_structure(theta=1, k=4, N=32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # selectors, generators, random elements
 # ---------------------------------------------------------------------------
@@ -278,8 +303,18 @@ class TestGenerators:
     def test_default_generators_are_unit_free(self, shuffle, maxs, mr, free,
                                               rb_seq, rb_poly):
         for S in (shuffle, maxs, mr, free, rb_seq, rb_poly):
-            a = default_generator(S)
+            a = S.generator()
             assert a.is_unit_free() and not a.is_zero()
+
+    def test_sweep_args(self, shuffle, mr, free, rb_seq):
+        assert shuffle.sweep_args(3) == [x(1), x(2), x(3)]
+        assert mr.sweep_args(2) == [mr.elem(Perm((1,)))] * 2
+        for S in (free, rb_seq):
+            args = S.sweep_args(3, seed=5)
+            assert args == S.sweep_args(3, seed=5) != S.sweep_args(3, seed=6)
+            assert all(a.is_unit_free() and not a.is_zero() for a in args)
+        # one seeded draw: the generator is the first sweep argument
+        assert rb_seq.generator(5) == rb_seq.sweep_args(3, seed=5)[0]
 
     def test_random_element_is_deterministic(self, rb_seq):
         a = random_element(rb_seq, random.Random(3))
