@@ -96,12 +96,14 @@ def _structure(selector: str, theta):
         raise UsageError(f"bad structure {selector!r}: {exc}")
 
 
-def _options(args, suites=()) -> Options:
+def _options(args, suites=()) -> tuple:
     """Validate the suite options once, for the suites about to run.
 
     Sizes must be at least 1 when given, the theta and the structure
     selector must parse, the operator suites need an operator structure, and
-    the axioms suite needs a degree bound that admits a triple.
+    the axioms suite needs a degree bound that admits a triple.  Returns the
+    Options and the structure --structure selects, built once here (None
+    without --structure).
     """
     theta = _theta(args)
     for name in ("n", "degree", "cap"):
@@ -111,6 +113,7 @@ def _options(args, suites=()) -> Options:
     # without --structure the axioms sweep includes shuffle, whose keys
     # start at degree 1
     low = 1
+    S = None
     if args.structure:
         S = _structure(args.structure, theta)
         wrong = [name for name in suites if name in OPERATOR_SUITES]
@@ -125,8 +128,9 @@ def _options(args, suites=()) -> Options:
         raise UsageError(f"axioms needs --degree >= {3 * low} on "
                          f"{args.structure or 'the graded structures'}: an "
                          f"axiom triple has three keys of degree >= {low}")
-    return Options(structure=args.structure, n=args.n, degree=args.degree,
-                   cap=args.cap, theta=theta, seed=args.seed)
+    options = Options(structure=args.structure, n=args.n, degree=args.degree,
+                      cap=args.cap, theta=theta, seed=args.seed)
+    return options, S
 
 
 def _emit_reports(reports, fmt: str) -> int:
@@ -162,13 +166,14 @@ def _cmd_verify(args) -> int:
                 f"unknown suite {args.suite!r}; choose from: "
                 + ", ".join(suite_names()))
         names = [args.suite]
+        options, _ = _options(args, names)
     else:
         names = suite_names()
-        if args.structure and not isinstance(
-                _structure(args.structure, _theta(args)), RBStructure):
+        plain = [name for name in names if name not in OPERATOR_SUITES]
+        options, S = _options(args, plain)
+        if S is not None and not isinstance(S, RBStructure):
             # the operator suites do not apply to the chosen structure
-            names = [name for name in names if name not in OPERATOR_SUITES]
-    options = _options(args, names)
+            names = plain
     return _emit_reports(run_suites(names, options), args.format)
 
 
@@ -237,15 +242,17 @@ def _cmd_pbw(args) -> int:
 
 
 def _cmd_magnus(args) -> int:
-    options = _options(args, ["magnus"])
+    options, S = _options(args, ["magnus"])
     reports = run_suites(["magnus"], options)
     code = _emit_reports(reports, args.format)
     if args.emit_omega and args.format == "text":
         cap = 6 if options.cap is None else options.cap
-        selectors = ([options.structure] if options.structure
-                     else [rep.structure for rep in reports])
-        for sel in selectors:
-            S = _structure(sel, options.theta)
+        if S is not None:
+            targets = [(options.structure, S)]
+        else:
+            targets = ((rep.structure, _structure(rep.structure, options.theta))
+                       for rep in reports)
+        for sel, S in targets:
             a = S.generator(options.seed)
             om = magnus_omega(S, a, cap)
             print(f"omega coefficients for {sel} (cap {cap}):")

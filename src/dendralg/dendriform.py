@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import AxiomCheckFailure, EmptyArgumentList, SortMismatch, UnitMisuse
-from .ncalg import Elem, _accumulate
+from .ncalg import Elem, _accumulate, _accumulate_groups, _group_terms
 
 __all__ = [
     "DendriformStructure", "OppositeStructure",
@@ -40,10 +40,24 @@ class DendriformStructure:
       basis_keys(max_degree) -- iterable of non-unit keys to test on
       generator(seed)        -- the unit-free element power sums expand
       sweep_args(n, seed)    -- n arguments for the symmetric-group sweeps
+
+    Basis product tables: each instance keeps one table for < and one for >,
+    mapping a key pair (k1, k2) to basis_left(k1, k2) or basis_right(k1, k2)
+    with its terms grouped by coefficient, ((coef, (key, ...)), ...).  The
+    first use of a pair calls the primitive once and stores the result;
+    left, right and star read only the tables.  The primitives must
+    therefore be pure functions of the two keys.  A table grows to at most
+    the number of distinct key pairs the structure is used on, is owned by
+    the instance alone and is freed with it.  Subclasses that define
+    __init__ call super().__init__().
     """
 
     name: str
     sort = None
+
+    def __init__(self):
+        self._left_table: dict = {}
+        self._right_table: dict = {}
 
     def basis_left(self, k1, k2) -> Elem:
         raise NotImplementedError
@@ -81,20 +95,30 @@ class DendriformStructure:
             raise SortMismatch(
                 f"element over {x.sort.name!r} fed to structure {self.name!r}")
 
-    def _half_into(self, data: dict, basis_fns, xs, ys) -> dict:
-        """Accumulate every half-product in basis_fns of xs by ys into data.
+    def _half_into(self, data: dict, halves, xs, ys) -> dict:
+        """Accumulate the half-products in halves of xs by ys into data.
 
-        xs and ys are (key, coefficient) pairs of non-unit keys.
+        halves holds (table, basis_fn) pairs; a key pair missing from a table
+        is filled from its basis_fn.  xs and ys are (key, Fraction) pairs of
+        non-unit keys.
         """
         for k1, c1 in xs:
             for k2, c2 in ys:
                 c = c1 * c2
-                for fn in basis_fns:
-                    _accumulate(data, fn(k1, k2)._terms, c)
+                for table, basis_fn in halves:
+                    groups = table.get((k1, k2))
+                    if groups is None:
+                        groups = _group_terms(basis_fn(k1, k2)._terms)
+                        table[(k1, k2)] = groups
+                    _accumulate_groups(data, groups, c)
         return data
 
-    def _half(self, basis_fn, x: Elem, y: Elem) -> Elem:
-        data = self._half_into({}, (basis_fn,), x._terms.items(), y._terms.items())
+    def _both_halves(self) -> tuple:
+        return ((self._left_table, self.basis_left),
+                (self._right_table, self.basis_right))
+
+    def _half(self, halves, x: Elem, y: Elem) -> Elem:
+        data = self._half_into({}, halves, x._terms.items(), y._terms.items())
         return Elem._trusted(self.sort, data)
 
     def left(self, x: Elem, y: Elem) -> Elem:
@@ -103,7 +127,7 @@ class DendriformStructure:
         self._check_operand(y)
         if x.unit_coeff or y.unit_coeff:
             raise UnitMisuse(f"{self.name}: < is undefined on unit components")
-        return self._half(self.basis_left, x, y)
+        return self._half(((self._left_table, self.basis_left),), x, y)
 
     def right(self, x: Elem, y: Elem) -> Elem:
         """The half-product a > b; operands must be unit-free."""
@@ -111,7 +135,7 @@ class DendriformStructure:
         self._check_operand(y)
         if x.unit_coeff or y.unit_coeff:
             raise UnitMisuse(f"{self.name}: > is undefined on unit components")
-        return self._half(self.basis_right, x, y)
+        return self._half(((self._right_table, self.basis_right),), x, y)
 
     def star(self, x: Elem, y: Elem) -> Elem:
         """The associative product a * b = a < b + a > b, extended unitally."""
@@ -128,7 +152,7 @@ class DendriformStructure:
             _accumulate(data, b, cx)
         if cy:
             _accumulate(data, a, cy)
-        self._half_into(data, (self.basis_left, self.basis_right), a, b)
+        self._half_into(data, self._both_halves(), a, b)
         return Elem._trusted(self.sort, data)
 
     # -- validation ---------------------------------------------------------
@@ -191,6 +215,7 @@ class OppositeStructure(DendriformStructure):
     """
 
     def __init__(self, base: DendriformStructure):
+        super().__init__()
         self.base = base
         self.name = base.name + ".op"
         self.sort = base.sort

@@ -144,8 +144,10 @@ def spitzer_sums(S: DendriformStructure, args) -> dict:
     Returns right_chain (left-nested > chains), t_sum (E-block pre-Lie
     products), left_chain (right-nested < chains) and u_sum (F-block
     products), each summed over the full symmetric group on the arguments.
-    Distinct permutations share prefixes and suffixes, so every dendriform
-    operation is computed once per index tuple rather than once per
+    Distinct permutations share prefixes and suffixes, so the half-product
+    chains and the pre-Lie words of the blocks are computed once per index
+    tuple rather than once per permutation.  The star products that join a
+    permutation's blocks are not shared: they are formed once per
     permutation.
     """
     args = list(args)

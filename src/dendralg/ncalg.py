@@ -10,7 +10,10 @@ Every sum of elements inside the package goes through one accumulation path:
 `_accumulate(data, terms, c)` adds c times some terms into a plain dict, and
 `Elem._trusted(sort, data)` drops the zero coefficients of that dict in place
 and wraps it without looking at its keys or scalars again.  A sum of k terms
-in total therefore costs O(k), however many summands it has.  Validation
+in total therefore costs O(k), however many summands it has.  The basis
+product tables of the dendriform structures store their terms grouped by
+coefficient (`_group_terms`), and `_accumulate_groups` is the same add for
+that form: one multiply per group rather than per term.  Validation
 (that every key belongs to the sort, that every coefficient is an exact
 scalar) happens only in the public constructor `Elem(sort, terms)`, where
 outside data comes in.
@@ -239,6 +242,34 @@ def _accumulate(data: dict, terms, c=1) -> dict:
     else:
         for key, v in items:
             v = c * v
+            old = get(key)
+            data[key] = v if old is None else old + v
+    return data
+
+
+def _group_terms(terms: dict) -> tuple:
+    """The terms of a key -> coefficient dict grouped by coefficient.
+
+    Returns ((coef, (key, ...)), ...), the groups in the order their
+    coefficients first occur; the form `_accumulate_groups` adds.
+    """
+    groups: dict = {}
+    for key, c in terms.items():
+        groups.setdefault(c, []).append(key)
+    return tuple((c, tuple(keys)) for c, keys in groups.items())
+
+
+def _accumulate_groups(data: dict, groups, c: Fraction) -> dict:
+    """Add c times the grouped terms ((coef, (key, ...)), ...) into data.
+
+    `_accumulate` for terms stored by `_group_terms`: one multiply per
+    group, none when coef is 1, and one add per key.  c must be a Fraction,
+    and the same caller guarantees as for `_accumulate` hold.
+    """
+    get = data.get
+    for coef, keys in groups:
+        v = c if coef == 1 else c * coef
+        for key in keys:
             old = get(key)
             data[key] = v if old is None else old + v
     return data

@@ -84,6 +84,7 @@ class _WordStructure(DendriformStructure):
     sort = WORD_SORT
 
     def __init__(self, alphabet):
+        super().__init__()
         self.alphabet = _letters(alphabet)
 
     def degree(self, key: Word) -> int:
@@ -290,9 +291,6 @@ class FreeStructure(DendriformStructure):
     name = "free"
     sort = TREE_SORT
 
-    def __init__(self):
-        self._star_cache: dict = {}
-
     def basis_left(self, t: Tree, s: Tree) -> Elem:
         return Elem(TREE_SORT,
                     [(Tree(t.left, m), c) for m, c in self._star_keys(t.right, s)])
@@ -302,19 +300,18 @@ class FreeStructure(DendriformStructure):
                     [(Tree(m, s.right), c) for m, c in self._star_keys(t, s.left)])
 
     def _star_keys(self, u: Tree, v: Tree):
-        """u * v on trees, using the leaf as unit; returns (tree, coeff) pairs."""
+        """u * v on trees, using the leaf as unit; returns (tree, coeff) pairs.
+
+        Read from the structure's own product tables, so each pair of
+        subtrees is multiplied once.
+        """
         if u.is_leaf():
             return ((v, 1),)
         if v.is_leaf():
             return ((u, 1),)
-        hit = self._star_cache.get((u, v))
-        if hit is None:
-            acc = {}
-            for e in (self.basis_left(u, v), self.basis_right(u, v)):
-                _accumulate(acc, e._terms)
-            hit = tuple(acc.items())
-            self._star_cache[(u, v)] = hit
-        return hit
+        one = Fraction(1)
+        return self._half_into({}, self._both_halves(),
+                               ((u, one),), ((v, one),)).items()
 
     def degree(self, key: Tree) -> int:
         return key.deg
@@ -445,6 +442,7 @@ class RBStructure(DendriformStructure):
                  check: bool = True):
         if variant not in ("plain", "primed"):
             raise ValueError(f"unknown variant {variant!r}")
+        super().__init__()
         self.backend = backend
         self.variant = variant
         self.theta = backend.theta
@@ -452,7 +450,6 @@ class RBStructure(DendriformStructure):
         self.name = name or f"rb[{backend.sort.name}]"
         if variant == "primed":
             self.name += ":primed"
-        self._memo: dict = {}
         if check:
             self._weight_check()
 
@@ -476,24 +473,18 @@ class RBStructure(DendriformStructure):
         return x.scale(-self.theta) - self.R(x)
 
     def basis_left(self, k1, k2) -> Elem:
-        hit = self._memo.get(("<", k1, k2))
-        if hit is None:
-            x, y = self.elem(k1), self.elem(k2)
-            hit = self.carrier_mul(x, self.R(y))
-            if self.variant == "plain" and self.theta:
-                hit = hit + self.carrier_mul(x, y).scale(self.theta)
-            self._memo[("<", k1, k2)] = hit
-        return hit
+        x, y = self.elem(k1), self.elem(k2)
+        out = self.carrier_mul(x, self.R(y))
+        if self.variant == "plain" and self.theta:
+            out = out + self.carrier_mul(x, y).scale(self.theta)
+        return out
 
     def basis_right(self, k1, k2) -> Elem:
-        hit = self._memo.get((">", k1, k2))
-        if hit is None:
-            x, y = self.elem(k1), self.elem(k2)
-            hit = self.carrier_mul(self.R(x), y)
-            if self.variant == "primed" and self.theta:
-                hit = hit + self.carrier_mul(x, y).scale(self.theta)
-            self._memo[(">", k1, k2)] = hit
-        return hit
+        x, y = self.elem(k1), self.elem(k2)
+        out = self.carrier_mul(self.R(x), y)
+        if self.variant == "primed" and self.theta:
+            out = out + self.carrier_mul(x, y).scale(self.theta)
+        return out
 
     def degree(self, key):
         return self.backend.key_degree(key)

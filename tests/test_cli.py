@@ -428,3 +428,28 @@ def test_expand_generator_line(capsys, selector):
                        "--op", "w-right", "--n", "1")
     assert code == 0
     assert out.splitlines()[0] == f"generator: {GENERATOR_LINES[selector]}"
+
+
+@pytest.mark.parametrize("argv,cli_builds,suite_builds", [
+    (("verify", "--suite", "spitzer", "--structure", "mr", "--n", "3"), 1, 1),
+    (("verify", "--structure", "free", "--n", "2", "--degree", "3",
+      "--cap", "3"), 1, 6),
+    (("magnus", "--structure", "free", "--cap", "3", "--emit-omega"), 1, 1),
+])
+def test_structure_is_built_once_per_report(capsys, monkeypatch, argv,
+                                            cli_builds, suite_builds):
+    """The command line builds --structure once; each report builds its own."""
+    from dendralg import cli, suites
+    builds = {"cli": 0, "suites": 0}
+    for name, module in (("cli", cli), ("suites", suites)):
+        def counted(*args, _name=name, _fn=module.from_selector, **kwargs):
+            builds[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, "from_selector", counted)
+    code, out, _ = run(capsys, *argv)
+    structure = argv[argv.index("--structure") + 1]
+    on_it = [line for line in out.splitlines()
+             if line.startswith("[pass]") and line.split()[2] == structure]
+    assert code == 0
+    assert len(on_it) == suite_builds
+    assert builds == {"cli": cli_builds, "suites": suite_builds}

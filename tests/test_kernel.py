@@ -2,8 +2,11 @@
 canonical coefficients, the degree-local Magnus recursion, and call counts.
 """
 
+import gc
 import itertools
 import math
+import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -11,18 +14,36 @@ from hypothesis import given, settings, strategies as st
 
 from dendralg import (
     Elem, Perm, STANDARD_SELECTORS, Series, ShuffleStructure, Word,
-    bernoulli_numbers, from_selector, magnus_omega, series_mul,
+    bernoulli_numbers, from_selector, magnus_omega, opposite, random_element,
+    series_mul,
 )
 from dendralg.magnus import prelie_word_series
-from dendralg.structures import MRStructure
+from dendralg.structures import FreeStructure, MRStructure
 
 _BUILT: dict = {}
 
+# Beyond the standard set: a non-integer weight, the primed operator
+# variants and opposite structures, whose table entries are negated.
+TABLE_CASES = (
+    "rb-seqmat:theta=2/3,k=2,N=4",
+    "primed(rb-seqmat:theta=2/3,k=2,N=4)",
+    "primed(rb-polymat:k=2)",
+    "opposite(shuffle)",
+    "opposite(rb-seqmat:theta=2/3,k=2,N=4)",
+)
 
-def structure(selector):
-    if selector not in _BUILT:
-        _BUILT[selector] = from_selector(selector)
-    return _BUILT[selector]
+
+def structure(name):
+    """A structure by selector, or primed(selector) / opposite(selector)."""
+    if name not in _BUILT:
+        head, _, inner = name.partition("(")
+        if head == "primed":
+            _BUILT[name] = structure(inner[:-1]).with_variant("primed")
+        elif head == "opposite":
+            _BUILT[name] = opposite(structure(inner[:-1]))
+        else:
+            _BUILT[name] = from_selector(name)
+    return _BUILT[name]
 
 
 def elements(S, unit=False):
@@ -60,7 +81,7 @@ def reference_star(S, x, y):
     return Elem(S.sort, terms)
 
 
-@pytest.mark.parametrize("selector", STANDARD_SELECTORS)
+@pytest.mark.parametrize("selector", STANDARD_SELECTORS + TABLE_CASES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_half_products_match_the_public_reference(selector, data):
@@ -73,7 +94,7 @@ def test_half_products_match_the_public_reference(selector, data):
     assert canonical(left) and canonical(right)
 
 
-@pytest.mark.parametrize("selector", STANDARD_SELECTORS)
+@pytest.mark.parametrize("selector", STANDARD_SELECTORS + TABLE_CASES)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_star_matches_the_public_reference(selector, data):
@@ -169,19 +190,90 @@ class CountingMR(MRStructure):
 
 
 def test_self_test_calls_basis_left_only_for_admissible_triples():
+    """One basis_left call per distinct key pair that the < products of the
+    270 admissible triples need; repeated pairs are read from the table."""
     S = CountingShuffle(3)
     assert S.self_test(4) == 270
     plain = ShuffleStructure(3)
     words = [Word(w) for d in (1, 2) for w in itertools.product((1, 2, 3), repeat=d)]
-    expected = 0
+    needed = set()
     for a, b, c in itertools.product(words, repeat=3):
         if len(a) + len(b) + len(c) > 4:
             continue
-        # (a<b)<c: 1 + |a<b|; a<(b*c): 1 + |b*c|; (a>b)<c: |a>b|;
-        # a>(b<c): 1; a>(b>c): 0; (a*b)>c: 1
-        expected += (4 + len(plain.basis_left(a, b)) + len(plain.basis_right(a, b))
-                     + len(plain.star(plain.elem(b), plain.elem(c))))
-    assert S.left_calls == expected
+        # a<b in (a<b)<c and (a*b)>c; b<c in b*c and a>(b<c); then
+        # (a<b)<c, (a>b)<c and a<(b*c) on every key of the inner product
+        needed |= {(a, b), (b, c)}
+        needed |= {(w, c) for w in plain.basis_left(a, b).support()}
+        needed |= {(w, c) for w in plain.basis_right(a, b).support()}
+        needed |= {(a, w) for w in plain.star(plain.elem(b), plain.elem(c)).support()}
+    assert S.left_calls == len(needed)
+
+
+class CountingBasis:
+    """Counts the calls to both basis primitives of the structure it precedes."""
+
+    basis_calls = 0
+
+    def basis_left(self, k1, k2):
+        self.basis_calls += 1
+        return super().basis_left(k1, k2)
+
+    def basis_right(self, k1, k2):
+        self.basis_calls += 1
+        return super().basis_right(k1, k2)
+
+
+class CountingBasisMR(CountingBasis, MRStructure):
+    pass
+
+
+class CountingBasisFree(CountingBasis, FreeStructure):
+    pass
+
+
+class WeakPerm(Perm):
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("cls", [CountingBasisMR, CountingBasisFree])
+def test_repeated_products_read_the_tables(cls):
+    S = cls()
+    rng = random.Random(0)
+    x, y = (random_element(S, rng, max_degree=3, nterms=3) for _ in range(2))
+    product = S.star(x, y)
+    misses = S.basis_calls
+    # every call filled one table entry; free also fills the subtree pairs
+    # its primitives recurse into
+    assert misses == len(S._left_table) + len(S._right_table)
+    pairs = {(k1, k2) for k1 in x.support() for k2 in y.support()}
+    assert pairs <= set(S._left_table) & set(S._right_table)
+    if cls is CountingBasisMR:
+        assert misses == 2 * len(pairs)
+    for _ in range(3):
+        assert S.star(x, y) == product
+    assert S.left(x, y) + S.right(x, y) == product
+    assert S.basis_calls == misses
+
+
+def test_tables_belong_to_their_structure():
+    a, b = CountingBasisMR(), CountingBasisMR()
+    key = WeakPerm((2, 1))
+    a.star(a.elem(key), a.elem(key))
+    assert a.basis_calls == 2 and b.basis_calls == 0
+    assert not b._left_table and not b._right_table
+    b.star(b.elem(key), b.elem(key))
+    assert b.basis_calls == 2
+    del b
+    key_ref, a_ref = weakref.ref(key), weakref.ref(a)
+    del key
+    gc.disable()
+    try:
+        assert key_ref() is not None  # a's tables still hold the key pair
+        del a
+        # freed by reference counting alone: no cycle keeps the tables alive
+        assert a_ref() is None and key_ref() is None
+    finally:
+        gc.enable()
 
 
 class CountedWord(Word):
