@@ -20,7 +20,9 @@ from .magnus import magnus_omega
 from .errors import InvalidPermutation
 from .ncalg import Elem, Word, WORD_SORT
 from .structures import RBStructure, from_selector
-from .suites import OPERATOR_SUITES, SUITES, Options, run_suites, suite_names
+from .suites import (
+    MAGNUS_CAP, OPERATOR_SUITES, SUITES, Options, run_suites, suite_names,
+)
 
 class UsageError(Exception):
     """Raised for configuration problems that should exit with code 2."""
@@ -246,7 +248,7 @@ def _cmd_magnus(args) -> int:
     reports = run_suites(["magnus"], options)
     code = _emit_reports(reports, args.format)
     if args.emit_omega and args.format == "text":
-        cap = 6 if options.cap is None else options.cap
+        cap = MAGNUS_CAP if options.cap is None else options.cap
         if S is not None:
             targets = [(options.structure, S)]
         else:

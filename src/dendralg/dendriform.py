@@ -46,10 +46,11 @@ class DendriformStructure:
     with its terms grouped by coefficient, ((coef, (key, ...)), ...).  The
     first use of a pair calls the primitive once and stores the result;
     left, right and star read only the tables.  The primitives must
-    therefore be pure functions of the two keys.  A table grows to at most
-    the number of distinct key pairs the structure is used on, is owned by
-    the instance alone and is freed with it.  Subclasses that define
-    __init__ call super().__init__().
+    therefore be pure functions of the two keys, and they keep no state of
+    their own: the two tables are the package's only memo of basis
+    products.  A table grows to at most the number of distinct key pairs
+    the structure is used on, is owned by the instance alone and is freed
+    with it.  Subclasses that define __init__ call super().__init__().
     """
 
     name: str

@@ -10,8 +10,9 @@ all complementary position subsets.
 
 The power sums w>(n) of a single dendriform element generate a free
 associative algebra whose basis is indexed by compositions; the coproduct
-sends the n-th generator to sum(w(m) (x) w(n-m)), the antipode is determined
-by the counit recursion, and the grading operator scales by total degree.
+sends the n-th generator to sum(w(m) (x) w(n-m)), the antipode sends it to
+the signed sum of the compositions of n (Takeuchi's formula), and the grading
+operator scales by total degree.
 Convolving antipode with grading gives the Dynkin operator in this basis, and
 evaluating compositions back into a structure turns all of this into exact
 element identities: the Dynkin image of w>(n) is the iterated left pre-Lie
@@ -287,20 +288,14 @@ def comp_coproduct(x) -> dict:
     return {split: c for split, c in out.items() if c}
 
 
-_GEN_ANTIPODE: dict = {}
-
-
 def _generator_antipode(n: int) -> Elem:
-    """S((n)) by the counit recursion; evaluates to (-1)^n times the left power sum."""
-    if n == 0:
-        return Elem.unit(COMP_SORT)
-    hit = _GEN_ANTIPODE.get(n)
-    if hit is None:
-        hit = linear_combination(COMP_SORT, [(comp_elem(n), -1)] + [
-            (comp_mul(_generator_antipode(m), comp_elem(n - m)), -1)
-            for m in range(1, n)])
-        _GEN_ANTIPODE[n] = hit
-    return hit
+    """S((n)) in Takeuchi's closed form: the sum over compositions c of n of
+    (-1)^len(c) c.
+
+    It solves the counit recursion S((n)) = -sum(S((m)) (n-m), 0 <= m < n), and
+    evaluates to (-1)^n times the left power sum.
+    """
+    return Elem(COMP_SORT, [(c, (-1) ** len(c)) for c in compositions(n)])
 
 
 def comp_antipode(x) -> Elem:
@@ -372,8 +367,9 @@ def w_coproduct(n: int) -> dict:
 def w_antipode(S: DendriformStructure, a: Elem, n: int) -> Elem:
     """Antipode of w>(n), evaluated in the structure.
 
-    Computed through the composition recursion; the value is (-1)^n times the
-    left power sum w<(n), and it also satisfies S(w(n)) = -a < S(w(n-1)).
+    Evaluates Takeuchi's closed form S((n)) = sum over compositions c of n of
+    (-1)^len(c) c; the value is (-1)^n times the left power sum w<(n), and it
+    also satisfies S(w(n)) = -a < S(w(n-1)).
     """
     if n == 0:
         return S.unit()

@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 from .dendriform import DendriformStructure
 from .errors import RBWeightCheckFailure
@@ -56,28 +55,24 @@ def _letters(alphabet) -> tuple:
 # words: half-shuffles
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _sh_left(u: tuple, v: tuple) -> tuple:
-    """u < v on letter tuples: first letter from u.  Returns ((word, count), ...)."""
-    if len(u) == 1:
-        return (((u[0],) + v, 1),)
-    acc = {}
-    for w, c in _sh_left(u[1:], v) + _sh_right(u[1:], v):
-        key = (u[0],) + w
-        acc[key] = acc.get(key, 0) + c
-    return tuple(sorted(acc.items()))
+def _shuffle(u: tuple, v: tuple) -> dict:
+    """Every interleaving of the letter tuples u and v -> its multiplicity."""
+    if not u or not v:
+        return {u + v: 1}
+    out = _half_shuffle(u[:1], u[1:], v, {})
+    return _half_shuffle(v[:1], u, v[1:], out)
 
 
-@lru_cache(maxsize=None)
-def _sh_right(u: tuple, v: tuple) -> tuple:
-    """u > v on letter tuples: first letter from v."""
-    if len(v) == 1:
-        return (((v[0],) + u, 1),)
-    acc = {}
-    for w, c in _sh_left(u, v[1:]) + _sh_right(u, v[1:]):
-        key = (v[0],) + w
-        acc[key] = acc.get(key, 0) + c
-    return tuple(sorted(acc.items()))
+def _half_shuffle(head: tuple, u: tuple, v: tuple, out: dict) -> dict:
+    """Add head followed by each interleaving of u and v into out.
+
+    u < v is _half_shuffle(u[:1], u[1:], v, {}) and u > v is
+    _half_shuffle(v[:1], u, v[1:], {}): the first letter comes from u or v.
+    """
+    for w, c in _shuffle(u, v).items():
+        w = head + w
+        out[w] = out.get(w, 0) + c
+    return out
 
 
 class _WordStructure(DendriformStructure):
@@ -106,12 +101,14 @@ class ShuffleStructure(_WordStructure):
     name = "shuffle"
 
     def basis_left(self, w1: Word, w2: Word) -> Elem:
+        u, v = w1.letters, w2.letters
         return Elem(WORD_SORT, [(Word(t), c) for t, c in
-                                _sh_left(w1.letters, w2.letters)])
+                                _half_shuffle(u[:1], u[1:], v, {}).items()])
 
     def basis_right(self, w1: Word, w2: Word) -> Elem:
+        u, v = w1.letters, w2.letters
         return Elem(WORD_SORT, [(Word(t), c) for t, c in
-                                _sh_right(w1.letters, w2.letters)])
+                                _half_shuffle(v[:1], u, v[1:], {}).items()])
 
 
 class MaxStructure(_WordStructure):
@@ -164,18 +161,14 @@ class MRStructure(DendriformStructure):
     sort = PERM_SORT
 
     def basis_left(self, p: Perm, q: Perm) -> Elem:
-        n = len(p)
-        shifted = tuple(x + n for x in q.image)
-        head, tail = p.image[0], p.image[1:]
-        terms = [(Perm((head,) + t), c) for t, c in _merged(tail, shifted)]
-        return Elem(PERM_SORT, terms)
+        u, v = p.image, tuple(x + len(p) for x in q.image)
+        return Elem(PERM_SORT, [(Perm(t), c) for t, c in
+                                _half_shuffle(u[:1], u[1:], v, {}).items()])
 
     def basis_right(self, p: Perm, q: Perm) -> Elem:
-        n = len(p)
-        shifted = tuple(x + n for x in q.image)
-        head, tail = shifted[0], shifted[1:]
-        terms = [(Perm((head,) + t), c) for t, c in _merged(p.image, tail)]
-        return Elem(PERM_SORT, terms)
+        u, v = p.image, tuple(x + len(p) for x in q.image)
+        return Elem(PERM_SORT, [(Perm(t), c) for t, c in
+                                _half_shuffle(v[:1], u, v[1:], {}).items()])
 
     def degree(self, key: Perm) -> int:
         return len(key)
@@ -190,23 +183,6 @@ class MRStructure(DendriformStructure):
 
     def sweep_args(self, n: int, seed: int = 0) -> list:
         return [self.generator()] * n
-
-
-@lru_cache(maxsize=None)
-def _merged(u: tuple, v: tuple) -> tuple:
-    """All interleavings of u and v, with multiplicity."""
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
-    acc = {}
-    for t, c in _merged(u[1:], v):
-        key = (u[0],) + t
-        acc[key] = acc.get(key, 0) + c
-    for t, c in _merged(u, v[1:]):
-        key = (v[0],) + t
-        acc[key] = acc.get(key, 0) + c
-    return tuple(sorted(acc.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +243,18 @@ TREE_SORT = BasisSort(
 )
 
 
-@lru_cache(maxsize=None)
 def enumerate_trees(degree: int) -> tuple:
-    """All planar binary trees with the given number of internal vertices."""
-    if degree == 0:
-        return (LEAF,)
-    out = []
-    for i in range(degree):
-        for l in enumerate_trees(i):
-            for r in enumerate_trees(degree - 1 - i):
-                out.append(Tree(l, r))
-    return tuple(out)
+    """All planar binary trees with the given number of internal vertices.
+
+    Degree d grafts every tree of degree i on the left of every tree of
+    degree d - 1 - i, for i = 0..d-1; the lower degrees are built first,
+    within the call.
+    """
+    trees = [(LEAF,)]
+    for d in range(1, degree + 1):
+        trees.append(tuple(Tree(l, r) for i in range(d)
+                           for l in trees[i] for r in trees[d - 1 - i]))
+    return trees[degree] if degree >= 0 else ()
 
 
 class FreeStructure(DendriformStructure):

@@ -301,8 +301,11 @@ def suite_spitzer(options: Options):
         yield thunk
 
 
+MAGNUS_CAP = 6   # the default truncation degree of the Magnus series
+
+
 def suite_magnus(options: Options):
-    cap = _given(options.cap, 6)
+    cap = _given(options.cap, MAGNUS_CAP)
     for sel in _selectors(options, STANDARD_SELECTORS):
         def thunk(sel=sel):
             run = _Run("magnus", sel, {"cap": cap, "seed": options.seed})

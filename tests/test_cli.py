@@ -182,6 +182,15 @@ class TestMagnusCommand:
         assert "omega coefficients for free (cap 3):" in out
         assert "t^1:" in out and "t^3:" in out
 
+    def test_emit_omega_uses_the_suite_default_cap(self, capsys):
+        code, out, _ = run(capsys, "magnus", "--structure", "mr",
+                           "--emit-omega")
+        assert code == 0
+        assert "cap=6" in out and "omega coefficients for mr (cap 6):" in out
+        lines = [line.split(":")[0].strip() for line in out.splitlines()
+                 if line.startswith("  t^")]
+        assert lines == [f"t^{d}" for d in range(1, 7)]
+
 
 class TestExpandCommand:
     @pytest.mark.parametrize("op", ["w-right", "w-left", "ell", "r", "dynkin",

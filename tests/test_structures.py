@@ -1,18 +1,23 @@
 """Concrete structures against independent oracles and hand values."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import dendralg
 from dendralg import (
     Elem, MaxStructure, Perm, RBStructure, RBWeightCheckFailure,
     STANDARD_SELECTORS, Word, from_selector, random_element,
     rb_polymat_structure, rb_seqmat_structure,
 )
-from dendralg.ncalg import WORD_SORT
+from dendralg.ncalg import PERM_SORT, WORD_SORT
 from dendralg.structures import SeqMatBackend, _sample_pairs, enumerate_trees
 
 
@@ -35,11 +40,17 @@ def interleavings(u, v):
         yield tuple(out), 0 in positions
 
 
+def _words(length):
+    return list(itertools.product((1, 2, 3), repeat=length))
+
+
+# every pair of nonempty words over {1, 2, 3} with total length at most 5
+WORD_PAIRS = [(u, v) for total in range(2, 6) for a in range(1, total)
+              for u in _words(a) for v in _words(total - a)]
+
+
 class TestShuffle:
-    @pytest.mark.parametrize("u,v", [
-        ((1,), (2,)), ((1, 2), (3,)), ((1, 2), (2, 1)), ((1, 1), (1,)),
-        ((1, 2, 3), (1, 2)),
-    ])
+    @pytest.mark.parametrize("u,v", WORD_PAIRS)
     def test_halves_match_interleaving_oracle(self, shuffle, u, v):
         """u < v collects the riffles starting in u, u > v those starting in v."""
         left_oracle, right_oracle = {}, {}
@@ -115,6 +126,29 @@ class TestMR:
         assert sum(prod.coeff(k) for k in prod.support()) == 10
         for key in prod.support():
             assert sorted(key.image) == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("a,b", [(a, t - a) for t in range(2, 7)
+                                     for a in range(1, t)])
+    def test_halves_match_the_filtered_symmetric_group(self, mr, a, b):
+        """Every p in S_a, q in S_b against a reference cut out of S_{a+b}.
+
+        sigma is a term of p * q exactly when its letters <= a read p and its
+        letters > a, shifted down by a, read q; it belongs to p < q when
+        sigma(1) <= a and to p > q otherwise.
+        """
+        left_ref, right_ref = {}, {}
+        for sigma in itertools.permutations(range(1, a + b + 1)):
+            p = tuple(s for s in sigma if s <= a)
+            q = tuple(s - a for s in sigma if s > a)
+            side = left_ref if sigma[0] <= a else right_ref
+            side.setdefault((p, q), {})[Perm(sigma)] = 1
+        for p in itertools.permutations(range(1, a + 1)):
+            for q in itertools.permutations(range(1, b + 1)):
+                ep, eq = mr.elem(Perm(p)), mr.elem(Perm(q))
+                assert mr.left(ep, eq) == Elem(PERM_SORT,
+                                               left_ref.get((p, q), {}))
+                assert mr.right(ep, eq) == Elem(PERM_SORT,
+                                                right_ref.get((p, q), {}))
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +297,35 @@ def test_weight_check_memory_does_not_grow_with_the_pair_count():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+_RETAINED_SCRIPT = """
+import gc, tracemalloc
+from dendralg import Options, run_suites
+tracemalloc.start()
+baseline = tracemalloc.get_traced_memory()[0]
+reports = run_suites(["magnus"], Options(structure="mr", cap=5))
+reports += run_suites(["axioms"], Options(structure="shuffle", degree=4))
+assert reports and all(rep.status == "pass" for rep in reports)
+del reports
+gc.collect()
+print(tracemalloc.get_traced_memory()[0] - baseline)
+"""
+
+
+def test_finished_reports_leave_no_cache_behind():
+    """Once its reports are dropped, the package holds no product memo.
+
+    Runs in a fresh interpreter, so nothing warmed by other tests hides a
+    cache that outlives its structure.
+    """
+    src = str(Path(dendralg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _RETAINED_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100_000
 
 
 # ---------------------------------------------------------------------------
