@@ -19,7 +19,7 @@ from .dendriform import ell, r as r_fold, w_left, w_right
 from .magnus import magnus_omega
 from .errors import InvalidPermutation
 from .ncalg import Elem, Word, WORD_SORT
-from .structures import RBStructure, from_selector
+from .structures import RBStructure, _rational, from_selector
 from .suites import (
     MAGNUS_CAP, OPERATOR_SUITES, SUITES, Options, run_suites, suite_names,
 )
@@ -86,7 +86,7 @@ def _theta(args) -> Fraction | None:
     if args.theta is None:
         return None
     try:
-        return Fraction(args.theta.replace("−", "-"))
+        return _rational(args.theta)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse theta {args.theta!r}")
 

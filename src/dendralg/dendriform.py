@@ -114,10 +114,6 @@ class DendriformStructure:
                     _accumulate_groups(data, groups, c)
         return data
 
-    def _both_halves(self) -> tuple:
-        return ((self._left_table, self.basis_left),
-                (self._right_table, self.basis_right))
-
     def _half(self, halves, x: Elem, y: Elem) -> Elem:
         data = self._half_into({}, halves, x._terms.items(), y._terms.items())
         return Elem._trusted(self.sort, data)
@@ -153,7 +149,8 @@ class DendriformStructure:
             _accumulate(data, b, cx)
         if cy:
             _accumulate(data, a, cy)
-        self._half_into(data, self._both_halves(), a, b)
+        self._half_into(data, ((self._left_table, self.basis_left),
+                               (self._right_table, self.basis_right)), a, b)
         return Elem._trusted(self.sort, data)
 
     # -- validation ---------------------------------------------------------

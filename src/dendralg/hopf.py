@@ -33,9 +33,9 @@ from .ncalg import (
 )
 
 __all__ = [
-    "concat_mul", "dynkin_word", "GradedEndo", "identity_endo",
-    "counit_unit_endo", "projection_endo", "dynkin_degree_endo", "convolve",
-    "convolve_many", "convolution_expansion", "ordered_partition_expansion",
+    "concat_mul", "dynkin_word", "GradedEndo", "counit_unit_endo",
+    "projection_endo", "dynkin_degree_endo", "convolve", "convolve_many",
+    "convolution_expansion", "ordered_partition_expansion",
     "COMP_SORT", "compositions", "comp_denominator", "comp_elem", "comp_mul",
     "comp_coproduct", "comp_antipode", "comp_grading", "comp_dynkin",
     "comp_dynkin_apply", "w_coproduct", "w_antipode", "dynkin_w", "eval_comp",
@@ -96,10 +96,6 @@ class GradedEndo:
 
     def __repr__(self):
         return f"<GradedEndo {self.name}>"
-
-
-def identity_endo() -> GradedEndo:
-    return GradedEndo("id", lambda w: Elem.term(WORD_SORT, w))
 
 
 def counit_unit_endo() -> GradedEndo:
@@ -343,13 +339,7 @@ def eval_comp(S: DendriformStructure, a: Elem, x) -> Elem:
     """Evaluate a composition element: (i1..ik) becomes w>(i1) * ... * w>(ik)."""
     if isinstance(x, tuple):
         x = Elem.term(COMP_SORT, x)
-    cache: dict = {}
-
-    def w(i: int) -> Elem:
-        if i not in cache:
-            cache[i] = w_right(S, a, i)
-        return cache[i]
-
+    w = functools.cache(lambda i: w_right(S, a, i))
     parts = []
     for key, coeff in x.items():
         term = S.unit()

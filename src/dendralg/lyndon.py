@@ -7,7 +7,7 @@ into iterated left pre-Lie products and multiplying gives T(sigma); the
 F-blocks with iterated right pre-Lie products give U(sigma).  Summed over the
 symmetric group these match the symmetrized dendriform half-products: the
 noncommutative Bohnenblust-Spitzer identity, checked here by exhaustive sweep
-with aggressive prefix and suffix caching.
+with T and U written as recursions on index tuples.
 
 The E-blocks are also the Chen-Fox-Lyndon factorization of the permutation
 word for the decreasing letter order, computed independently by Duval's
@@ -20,6 +20,7 @@ i1(i1+i2)...(i1+...+ik).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -139,74 +140,69 @@ def u_sigma(S: DendriformStructure, sigma, args) -> Elem:
 
 
 def spitzer_sums(S: DendriformStructure, args) -> dict:
-    """All four symmetric-group sums at once, sharing caches across permutations.
+    """All four symmetric-group sums at once, as recursions on index tuples.
 
     Returns right_chain (left-nested > chains), t_sum (E-block pre-Lie
     products), left_chain (right-nested < chains) and u_sum (F-block
     products), each summed over the full symmetric group on the arguments.
-    Distinct permutations share prefixes and suffixes, so the half-product
-    chains and the pre-Lie words of the blocks are computed once per index
-    tuple rather than once per permutation.  The star products that join a
-    permutation's blocks are not shared: they are formed once per
-    permutation.
+    A permutation is the tuple of argument indices in reading order.  T and
+    U peel their last block, so the star products keep reading order:
+    t(idx) = t(idx[:m]) * ell(idx[m:]) with m the position of max(idx), as
+    the last E-block starts at the global maximum; u(idx) = u(idx[:m]) *
+    r(idx[m:]) with m one past the last position holding a value below
+    idx[-1], as the last F-block ends at its own minimum; t(()) = u(()) = 1.
+    The chains and block words are memoized per index tuple, taken as varargs
+    so that the cache key is the tuple itself.  T and U are not: caching them
+    raises peak memory and saves no time.
     """
     args = list(args)
-    n = len(args)
-    if n == 0:
+    if not args:
         raise EmptyArgumentList("the symmetrized identities need arguments")
 
-    chain_r: dict = {}
-    chain_l: dict = {}
-    ell_c: dict = {}
-    r_c: dict = {}
-    for i, a in enumerate(args):
-        chain_r[(i,)] = chain_l[(i,)] = ell_c[(i,)] = r_c[(i,)] = a
+    @functools.cache
+    def chain_right(*idx: int) -> Elem:
+        if len(idx) == 1:
+            return args[idx[0]]
+        return S.right(chain_right(*idx[:-1]), args[idx[-1]])
 
-    def chain_right(idx: tuple) -> Elem:
-        hit = chain_r.get(idx)
-        if hit is None:
-            hit = S.right(chain_right(idx[:-1]), args[idx[-1]])
-            chain_r[idx] = hit
-        return hit
+    @functools.cache
+    def chain_left(*idx: int) -> Elem:
+        if len(idx) == 1:
+            return args[idx[0]]
+        return S.left(args[idx[0]], chain_left(*idx[1:]))
 
-    def chain_left(idx: tuple) -> Elem:
-        hit = chain_l.get(idx)
-        if hit is None:
-            hit = S.left(args[idx[0]], chain_left(idx[1:]))
-            chain_l[idx] = hit
-        return hit
+    @functools.cache
+    def ell_at(*idx: int) -> Elem:
+        if len(idx) == 1:
+            return args[idx[0]]
+        return prelie_left(S, ell_at(*idx[:-1]), args[idx[-1]])
 
-    def ell_at(idx: tuple) -> Elem:
-        hit = ell_c.get(idx)
-        if hit is None:
-            hit = prelie_left(S, ell_at(idx[:-1]), args[idx[-1]])
-            ell_c[idx] = hit
-        return hit
+    @functools.cache
+    def r_at(*idx: int) -> Elem:
+        if len(idx) == 1:
+            return args[idx[0]]
+        return prelie_right(S, args[idx[0]], r_at(*idx[1:]))
 
-    def r_at(idx: tuple) -> Elem:
-        hit = r_c.get(idx)
-        if hit is None:
-            hit = prelie_right(S, args[idx[0]], r_at(idx[1:]))
-            r_c[idx] = hit
-        return hit
+    unit = S.unit()
+
+    def t(idx: tuple) -> Elem:
+        if not idx:
+            return unit
+        m = idx.index(max(idx))
+        return S.star(t(idx[:m]), ell_at(*idx[m:]))
+
+    def u(idx: tuple) -> Elem:
+        if not idx:
+            return unit
+        m = max((p + 1 for p, v in enumerate(idx) if v < idx[-1]), default=0)
+        return S.star(u(idx[:m]), r_at(*idx[m:]))
 
     rc_sum, t_sum, lc_sum, u_sum = {}, {}, {}, {}
-    unit = S.unit()
-    for image in itertools.permutations(range(n)):
-        _accumulate(rc_sum, chain_right(image)._terms)
-        _accumulate(lc_sum, chain_left(image)._terms)
-        shifted = tuple(i + 1 for i in image)
-        for cuts, cache, total in ((_e_cuts(shifted), ell_at, t_sum),
-                                   (_f_cuts(shifted), r_at, u_sum)):
-            term = unit
-            for block in _blocks(n, cuts):
-                factor = cache(tuple(image[p - 1] for p in block))
-                if not factor:
-                    term = None
-                    break
-                term = S.star(term, factor)
-            if term is not None:
-                _accumulate(total, term._terms)
+    for image in itertools.permutations(range(len(args))):
+        _accumulate(rc_sum, chain_right(*image)._terms)
+        _accumulate(t_sum, t(image)._terms)
+        _accumulate(lc_sum, chain_left(*image)._terms)
+        _accumulate(u_sum, u(image)._terms)
     return {
         "right_chain": Elem._trusted(S.sort, rc_sum),
         "t_sum": Elem._trusted(S.sort, t_sum),

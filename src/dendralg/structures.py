@@ -277,18 +277,12 @@ class FreeStructure(DendriformStructure):
                     [(Tree(m, s.right), c) for m, c in self._star_keys(t, s.left)])
 
     def _star_keys(self, u: Tree, v: Tree):
-        """u * v on trees, using the leaf as unit; returns (tree, coeff) pairs.
+        """u * v on trees as (tree, coeff) pairs; the leaf is the unit key.
 
         Read from the structure's own product tables, so each pair of
         subtrees is multiplied once.
         """
-        if u.is_leaf():
-            return ((v, 1),)
-        if v.is_leaf():
-            return ((u, 1),)
-        one = Fraction(1)
-        return self._half_into({}, self._both_halves(),
-                               ((u, one),), ((v, one),)).items()
+        return self.star(self.elem(u), self.elem(v))._terms.items()
 
     def degree(self, key: Tree) -> int:
         return key.deg
@@ -520,17 +514,15 @@ def free_structure() -> FreeStructure:
     return _self_tested(FreeStructure())
 
 
-def rb_seqmat_structure(theta=1, k: int = 2, N: int = 4, variant: str = "plain",
+def rb_seqmat_structure(theta=1, k: int = 2, N: int = 4,
                         check: bool = True) -> RBStructure:
     theta = as_scalar(theta)
     name = f"rb-seqmat:theta={theta},k={k},N={N}"
-    return RBStructure(SeqMatBackend(theta, k, N), variant, name=name, check=check)
+    return RBStructure(SeqMatBackend(theta, k, N), name=name, check=check)
 
 
-def rb_polymat_structure(k: int = 2, variant: str = "plain",
-                         check: bool = True) -> RBStructure:
-    return RBStructure(PolyMatBackend(k), variant, name=f"rb-polymat:k={k}",
-                       check=check)
+def rb_polymat_structure(k: int = 2, check: bool = True) -> RBStructure:
+    return RBStructure(PolyMatBackend(k), name=f"rb-polymat:k={k}", check=check)
 
 
 # the selectors that take no parameters
@@ -569,6 +561,8 @@ def from_selector(text: str, theta=None) -> DendriformStructure:
             if not eq:
                 raise ValueError(f"bad structure parameter {piece!r} in {text!r}")
             key = key.strip().replace("θ", "theta")
+            if key in params:
+                raise ValueError(f"selector {text!r} repeats parameter {key!r}")
             params[key] = value.strip()
     if head in _PLAIN_SELECTORS:
         if params:
@@ -577,7 +571,7 @@ def from_selector(text: str, theta=None) -> DendriformStructure:
     if head == "rb-seqmat":
         allowed = {"theta", "k", "N"}
         _only_params(text, params, allowed)
-        th = Fraction(params["theta"]) if "theta" in params else \
+        th = _rational(params["theta"]) if "theta" in params else \
             (as_scalar(theta) if theta is not None else Fraction(1))
         return rb_seqmat_structure(theta=th, k=int(params.get("k", 2)),
                                    N=int(params.get("N", 4)))
@@ -585,6 +579,11 @@ def from_selector(text: str, theta=None) -> DendriformStructure:
         _only_params(text, params, {"k"})
         return rb_polymat_structure(k=int(params.get("k", 2)))
     raise ValueError(f"unknown structure selector {text!r}")
+
+
+def _rational(text: str) -> Fraction:
+    """A rational such as 2/3 or −1, the typographic minus included."""
+    return Fraction(text.strip().replace("−", "-"))
 
 
 def _only_params(text, params, allowed):

@@ -12,6 +12,7 @@ runs with the same seed compare byte-for-byte (timings aside).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -382,29 +383,21 @@ def _rb_nested_sums(S: RBStructure, args: list) -> tuple:
     backend product and R only.  Second: sum over sigma of
     a1 R(a2 ... R(a_{n-1} R(a_n)) ...).
     """
-    n = len(args)
-    first: dict = {}
-    second: dict = {}
+    @functools.cache
+    def nested_first(*idx: int) -> Elem:
+        if len(idx) == 1:
+            return args[idx[0]]
+        return S.carrier_mul(S.R(nested_first(*idx[:-1])), args[idx[-1]])
 
-    def nested_first(idx: tuple) -> Elem:
-        hit = first.get(idx)
-        if hit is None:
-            hit = (args[idx[0]] if len(idx) == 1 else
-                   S.carrier_mul(S.R(nested_first(idx[:-1])), args[idx[-1]]))
-            first[idx] = hit
-        return hit
+    @functools.cache
+    def nested_second(*idx: int) -> Elem:
+        if len(idx) == 1:
+            return args[idx[0]]
+        return S.carrier_mul(args[idx[0]], S.R(nested_second(*idx[1:])))
 
-    def nested_second(idx: tuple) -> Elem:
-        hit = second.get(idx)
-        if hit is None:
-            hit = (args[idx[0]] if len(idx) == 1 else
-                   S.carrier_mul(args[idx[0]], S.R(nested_second(idx[1:]))))
-            second[idx] = hit
-        return hit
-
-    perms = list(itertools.permutations(range(n)))
-    return (elem_sum(S.sort, (nested_first(image) for image in perms)),
-            elem_sum(S.sort, (nested_second(image) for image in perms)))
+    perms = list(itertools.permutations(range(len(args))))
+    return (elem_sum(S.sort, (nested_first(*image) for image in perms)),
+            elem_sum(S.sort, (nested_second(*image) for image in perms)))
 
 
 class _Corollary(NamedTuple):

@@ -250,6 +250,26 @@ class TestExitCodeContract:
         assert code == 2
         assert "rb-seqmat:theta=1/0" in err
 
+    def test_typographic_minus_in_selector_parses_like_theta(self, capsys):
+        """--theta and the selector share one rational parser."""
+        code, out, _ = run(capsys, "verify", "--suite", "spitzer", "--n", "2",
+                           "--structure", "rb-seqmat:theta=−1,k=1,N=3",
+                           "--format", "json")
+        (report,) = json.loads(out)["reports"]
+        assert code == 0
+        assert report["status"] == "pass"
+
+    @pytest.mark.parametrize("selector", [
+        "rb-seqmat:k=1,k=2,N=3",
+        "rb-seqmat:theta=1,N=3,θ=0,k=1",
+    ], ids=["k-twice", "theta-twice"])
+    def test_repeated_selector_parameter_is_a_usage_error(self, capsys,
+                                                          selector):
+        code, out, err = run(capsys, "verify", "--suite", "spitzer",
+                             "--n", "2", "--structure", selector)
+        assert code == 2
+        assert out == "" and "repeats parameter" in err
+
     def test_no_traceback_from_the_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dendralg", "magnus", "--structure",

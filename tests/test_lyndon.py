@@ -7,10 +7,10 @@ import random
 import pytest
 
 from dendralg import (
-    Elem, EmptyArgumentList, EmptyWord, Perm, Word, bohnenblust_spitzer_check,
-    census_formula, cfl_factorize, ell, is_lyndon, lyn_set, lyndon_census,
-    opposite, pbw_expansion, profile, r, random_element, spitzer_sums, t_sigma,
-    u_sigma,
+    STANDARD_SELECTORS, Elem, EmptyArgumentList, EmptyWord, Perm, Word,
+    bohnenblust_spitzer_check, census_formula, cfl_factorize, ell,
+    from_selector, is_lyndon, lyn_set, lyndon_census, opposite, pbw_expansion,
+    profile, r, random_element, spitzer_sums, t_sigma, u_sigma,
 )
 from dendralg.hopf import concat_mul, dynkin_word
 from dendralg.lyndon import omega_conjugate
@@ -129,18 +129,24 @@ class TestBlockProducts:
             u_sigma(shuffle, (1, 2, 3), letters(shuffle, 2))
 
 
-class TestSpitzerSums:
-    def test_cached_equals_naive_shuffle(self, shuffle):
-        args = letters(shuffle, 4)
-        fast = spitzer_sums(shuffle, args)
-        slow = naive_sums(shuffle, args)
-        assert fast == slow
+# every standard structure, plus a primed operator structure at a weight
+# outside the standard selectors; max has vanishing block words
+SPITZER_CASES = [(sel, "plain") for sel in STANDARD_SELECTORS] \
+    + [("rb-seqmat:theta=2/3,k=2,N=4", "primed")]
 
-    def test_cached_equals_naive_rb(self, rb_seq):
-        rng = random.Random(2)
-        args = [random_element(rb_seq, rng, max_degree=1, nterms=2)
-                for _ in range(3)]
-        assert spitzer_sums(rb_seq, args) == naive_sums(rb_seq, args)
+
+class TestSpitzerSums:
+    @pytest.mark.parametrize(
+        "selector,variant", SPITZER_CASES,
+        ids=[sel.split(":")[0] + ("-primed" if var == "primed" else "")
+             for sel, var in SPITZER_CASES])
+    def test_cached_equals_naive(self, selector, variant):
+        """The index-tuple recursions against per-permutation cut lists."""
+        S = from_selector(selector)
+        if variant == "primed":
+            S = S.with_variant("primed")
+        args = S.sweep_args(4, seed=3)
+        assert spitzer_sums(S, args) == naive_sums(S, args)
 
     def test_shuffle_letters_give_all_words(self, shuffle):
         """Single-letter chains collapse to one word each, so the symmetrized

@@ -19,6 +19,7 @@ from dendralg import (
 )
 from dendralg.ncalg import PERM_SORT, WORD_SORT
 from dendralg.structures import SeqMatBackend, _sample_pairs, enumerate_trees
+from dendralg.suites import RB_THETAS, _rb_nested_sums
 
 
 def x(*letters):
@@ -257,6 +258,32 @@ class TestPolyMat:
         assert S.carrier_mul(e12, e12).is_zero()
 
 
+def _literal_nested_sums(S, args):
+    """Both operator-nested sums, one literal loop per permutation, no memo."""
+    first = second = S.zero()
+    for seq in itertools.permutations(args):
+        chain = seq[0]
+        for a in seq[1:]:
+            chain = S.carrier_mul(S.R(chain), a)
+        first = first + chain
+        chain = seq[-1]
+        for a in reversed(seq[:-1]):
+            chain = S.carrier_mul(a, S.R(chain))
+        second = second + chain
+    return first, second
+
+
+@pytest.mark.parametrize("selector", [
+    *(f"rb-seqmat:theta={th},k=2,N=4" for th in RB_THETAS), "rb-polymat:k=2",
+], ids=["seqmat-theta0", "seqmat-theta1", "seqmat-theta-1", "seqmat-theta2_3",
+        "polymat"])
+def test_rb_nested_sums_match_literal_loops(selector):
+    S = from_selector(selector)
+    for n in range(1, 5):
+        args = S.sweep_args(n, seed=n)
+        assert _rb_nested_sums(S, args) == _literal_nested_sums(S, args)
+
+
 class _InclusiveSums(SeqMatBackend):
     """Partial sums including the current position: the weight rule breaks."""
 
@@ -352,10 +379,12 @@ class TestSelectors:
 
     def test_unicode_theta_key(self):
         assert from_selector("rb-seqmat:θ=-1,k=1,N=3").theta == -1
+        assert from_selector("rb-seqmat:theta=−1,k=1,N=3").theta == -1
 
     @pytest.mark.parametrize("bad", [
         "nosuch", "shuffle:k=2", "rb-seqmat:junk", "rb-seqmat:z=1",
-        "rb-polymat:N=4",
+        "rb-polymat:N=4", "rb-seqmat:k=1,k=2,N=3",
+        "rb-seqmat:theta=1,N=3,θ=0,k=1",
     ])
     def test_rejects_bad_selectors(self, bad):
         with pytest.raises(ValueError):
