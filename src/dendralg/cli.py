@@ -123,10 +123,8 @@ def _options(args, suites=()) -> tuple:
             raise UsageError(f"suite {', '.join(wrong)} needs an operator "
                              f"structure (rb-seqmat or rb-polymat), not "
                              f"{args.structure!r}")
-        degrees = {S.degree(key) for key in S.basis_keys(1)}
-        low = None if None in degrees else min(degrees)
-    if ("axioms" in suites and args.degree is not None and low is not None
-            and 3 * low > args.degree):
+        low = min(S.degree(key) for key in S.basis_keys(1))
+    if "axioms" in suites and args.degree is not None and 3 * low > args.degree:
         raise UsageError(f"axioms needs --degree >= {3 * low} on "
                          f"{args.structure or 'the graded structures'}: an "
                          f"axiom triple has three keys of degree >= {low}")

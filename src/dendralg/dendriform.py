@@ -14,8 +14,6 @@ operand with a nonzero unit coefficient, and only * is extended unitally.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import AxiomCheckFailure, EmptyArgumentList, SortMismatch, UnitMisuse
 from .ncalg import Elem, _accumulate, _accumulate_groups, _group_terms
 
@@ -36,7 +34,8 @@ class DendriformStructure:
                   -- the half-products on non-unit keys, returning Elems whose
                      support never contains the unit key
     Optional (needed by self-tests, random sampling and the suites):
-      degree(key)            -- grading, or None when the basis is ungraded
+      degree(key)            -- the integer grading the products respect;
+                                0 for every key of a basis without one
       basis_keys(max_degree) -- iterable of non-unit keys to test on
       generator(seed)        -- the unit-free element power sums expand
       sweep_args(n, seed)    -- n arguments for the symmetric-group sweeps
@@ -67,7 +66,7 @@ class DendriformStructure:
         raise NotImplementedError
 
     def degree(self, key):
-        return None
+        return 0
 
     def basis_keys(self, max_degree):
         raise NotImplementedError(f"{self.name}: no basis enumeration")
@@ -158,26 +157,24 @@ class DendriformStructure:
     def self_test(self, max_degree: int = 2) -> int:
         """Exhaustively check the three axioms on basis triples.
 
-        Graded bases are filtered to total degree <= max_degree; ungraded ones
-        use every triple the enumeration yields.  Returns the number of
-        triples checked; raises AxiomCheckFailure on the first violation.
+        The triples are those of total degree <= max_degree; a basis whose
+        keys all have degree 0 thus yields every triple of its keys.
+        Returns the number of triples checked; raises AxiomCheckFailure on
+        the first violation.
 
-        Graded triples are enumerated directly: for a degree budget r,
+        The triples are enumerated directly: for a degree budget r,
         within[r] lists the keys of degree <= r in enumeration order, so the
         triples come out in the order of the full triple loop with the
         inadmissible ones left out, and none is ever visited.
         """
         keys = list(self.basis_keys(max_degree))
         degs = {k: self.degree(k) for k in keys}
-        if all(d is not None for d in degs.values()):
-            within = {r: [k for k in keys if degs[k] <= r]
-                      for r in range(max_degree + 1)}
-            triples = ((ka, kb, kc)
-                       for ka in keys
-                       for kb in within.get(max_degree - degs[ka], ())
-                       for kc in within.get(max_degree - degs[ka] - degs[kb], ()))
-        else:
-            triples = itertools.product(keys, repeat=3)
+        within = {r: [k for k in keys if degs[k] <= r]
+                  for r in range(max_degree + 1)}
+        triples = ((ka, kb, kc)
+                   for ka in keys
+                   for kb in within.get(max_degree - degs[ka], ())
+                   for kc in within.get(max_degree - degs[ka] - degs[kb], ()))
         checked = 0
         for ka, kb, kc in triples:
             a, b, c = self.elem(ka), self.elem(kb), self.elem(kc)

@@ -127,6 +127,8 @@ class Perm:
         return len(self.image)
 
     def __call__(self, i: int) -> int:
+        if not 1 <= i <= len(self.image):
+            raise IndexError(f"{i} is outside 1..{len(self.image)}")
         return self.image[i - 1]
 
     def inverse(self) -> "Perm":
@@ -290,9 +292,9 @@ class Elem:
         items = terms.items() if isinstance(terms, dict) else terms
         for key, c in items:
             c = as_scalar(c)
+            sort.check(key)
             if not c:
                 continue
-            sort.check(key)
             c0 = data.get(key)
             c = c if c0 is None else c0 + c
             if c:

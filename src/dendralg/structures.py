@@ -302,21 +302,9 @@ class FreeStructure(DendriformStructure):
 # structures induced by a weighted averaging operator
 # ---------------------------------------------------------------------------
 
-class _AdjoinedUnit:
-    """Fresh unit key for carriers whose own identity is not a dendriform unit."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "1"
-
-
-ADJOINED_UNIT = _AdjoinedUnit()
+# the fresh unit key of carriers whose own identity is not a dendriform unit;
+# no carrier key is the empty tuple
+ADJOINED_UNIT = ()
 
 
 class SeqMatBackend:
@@ -339,7 +327,8 @@ class SeqMatBackend:
             show=lambda key: f"E{key[0]}[{key[1]},{key[2]}]",
         )
 
-    def keys(self):
+    def keys(self, max_degree: int):
+        """Every key, whatever max_degree: each has degree 0."""
         rng = range(1, self.k + 1)
         return [(p, i, j) for p in range(1, self.N + 1) for i in rng for j in rng]
 
@@ -356,7 +345,7 @@ class SeqMatBackend:
         return tuple(((q, i, j), self.theta) for q in range(p + 1, self.N + 1))
 
     def key_degree(self, key):
-        return None
+        return 0
 
 
 class PolyMatBackend:
@@ -380,9 +369,9 @@ class PolyMatBackend:
                               else f"x^{key[2]}E[{key[0]},{key[1]}]"),
         )
 
-    def keys(self, max_power: int = 1):
+    def keys(self, max_degree: int):
         rng = range(1, self.k + 1)
-        return [(i, j, d) for d in range(max_power + 1) for i in rng for j in rng]
+        return [(i, j, d) for d in range(max_degree + 1) for i in rng for j in rng]
 
     def mul_keys(self, a, b):
         (i, j, d), (x, y, e) = a, b
@@ -461,9 +450,7 @@ class RBStructure(DendriformStructure):
         return self.backend.key_degree(key)
 
     def basis_keys(self, max_degree: int):
-        if isinstance(self.backend, PolyMatBackend):
-            return self.backend.keys(max_power=max_degree)
-        return self.backend.keys()
+        return self.backend.keys(max_degree)
 
     def generator(self, seed: int = 0) -> Elem:
         return _random_args(self, 1, seed)[0]

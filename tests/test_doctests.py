@@ -1,5 +1,7 @@
-"""Docstring examples, and the package names that other code looks up."""
+"""Docstring examples, the package names that other code looks up, and the
+rule that every memo is local to one call."""
 
+import ast
 import doctest
 import re
 from pathlib import Path
@@ -57,3 +59,51 @@ def test_the_names_the_benchmark_wraps_exist():
 def test_the_probe_module_imports():
     probes = _load("probes.py")["PROBES"]
     assert "spitzer6_shuffle" in probes
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dendralg"
+MEMOS = {"cache", "lru_cache", "cached_property"}
+
+
+def _name(node):
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else None
+
+
+class _LongLivedMemos(ast.NodeVisitor):
+    """Lines that apply a memo outside any function body.
+
+    Such a memo lives as long as its module or class; one made inside a
+    function body is dropped when the call returns.
+    """
+
+    def __init__(self):
+        self.lines = []
+
+    def visit_FunctionDef(self, node):
+        # decorators run where the function is defined; the body is skipped
+        for decorator in node.decorator_list:
+            if _name(decorator) in MEMOS:
+                self.lines.append(decorator.lineno)
+            self.visit(decorator)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Lambda(self, node):
+        pass
+
+    def visit_Call(self, node):
+        if _name(node) in MEMOS:
+            self.lines.append(node.lineno)
+        self.generic_visit(node)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_memo_is_local_to_one_call(path):
+    """No cache at module level or in a class body: none outlives its report."""
+    finder = _LongLivedMemos()
+    finder.visit(ast.parse(path.read_text(), str(path)))
+    assert not finder.lines, f"{path.name}: module- or class-level memo"

@@ -74,6 +74,11 @@ class TestPerm:
         with pytest.raises(InvalidPermutation):
             Perm(image)
 
+    @pytest.mark.parametrize("i", [0, -1, 4])
+    def test_rejects_points_outside_its_domain(self, i):
+        with pytest.raises(IndexError):
+            Perm((3, 1, 2))(i)
+
 
 class TestElem:
     def test_duplicate_keys_are_summed(self):
@@ -110,6 +115,16 @@ class TestElem:
         comp = Elem.term(COMP_SORT, (2,))
         with pytest.raises(SortMismatch):
             x(1) + comp
+
+    @pytest.mark.parametrize("terms", [
+        [(Perm((1,)), 1)],
+        [(Perm((1,)), 0)],
+        [("junk", 0), (w(1), 1)],
+    ], ids=["foreign", "foreign-zero", "junk-zero"])
+    def test_every_key_is_checked(self, terms):
+        """A foreign key is refused whatever its coefficient."""
+        with pytest.raises(SortMismatch):
+            Elem(WORD_SORT, terms)
 
     def test_immutable(self):
         e = x(1)

@@ -18,7 +18,9 @@ from dendralg import (
     rb_polymat_structure, rb_seqmat_structure,
 )
 from dendralg.ncalg import PERM_SORT, WORD_SORT
-from dendralg.structures import SeqMatBackend, _sample_pairs, enumerate_trees
+from dendralg.structures import (
+    LEAF, SeqMatBackend, Tree, _sample_pairs, enumerate_trees,
+)
 from dendralg.suites import RB_THETAS, _rb_nested_sums
 
 
@@ -104,6 +106,31 @@ class TestMax:
         with pytest.raises(ValueError):
             MaxStructure(3, "sideways")
 
+    def test_halves_match_the_position_oracle(self, maxs):
+        """u < v is uv when the first maximal letter of uv lies in u."""
+        zero = Elem.zero(WORD_SORT)
+        for u, v in WORD_PAIRS:
+            uv = u + v
+            whole = x(*uv)
+            in_u = uv.index(max(uv)) < len(u)
+            assert maxs.left(x(*u), x(*v)) == (whole if in_u else zero)
+            assert maxs.right(x(*u), x(*v)) == (zero if in_u else whole)
+
+    def test_reversed_order_is_max_conjugated_by_relabelling(self, maxs):
+        """max-rev equals max read through the relabelling a -> 4 - a."""
+        rev = MaxStructure(3, "decreasing")
+
+        def flip(word):
+            return tuple(4 - a for a in word)
+
+        def flipped(e):
+            return e.map_keys(lambda key: x(*flip(key.letters)))
+
+        for u, v in WORD_PAIRS:
+            fu, fv = x(*flip(u)), x(*flip(v))
+            assert rev.left(x(*u), x(*v)) == flipped(maxs.left(fu, fv))
+            assert rev.right(x(*u), x(*v)) == flipped(maxs.right(fu, fv))
+
 
 # ---------------------------------------------------------------------------
 # permutations under shifted shuffle
@@ -172,6 +199,40 @@ class TestFree:
         assert len(free.left(g, g)) == 1
         assert len(free.right(g, g)) == 1
 
+    def test_loday_ronco_map_into_mr_respects_both_halves(self, free, mr):
+        """phi(a < b) = phi(a) < phi(b) and likewise for >, into mr.
+
+        phi(t) sums the sigma whose inverse has increasing binary tree t:
+        the root is the smallest letter, the left and right subtrees come
+        from the letters before and after it.  phi uses no product, so it
+        checks free and mr against each other on every tree pair of total
+        degree <= 6.
+        """
+        def shape(word):
+            if not word:
+                return LEAF
+            m = word.index(min(word))
+            return Tree(shape(word[:m]), shape(word[m + 1:]))
+
+        fibres = {}
+        for n in range(1, 7):
+            for image in itertools.permutations(range(1, n + 1)):
+                sigma = Perm(image)
+                fibres.setdefault(shape(sigma.inverse().image), []).append(sigma)
+
+        def phi(e):
+            return Elem(PERM_SORT, [(sigma, c) for t, c in e.items()
+                                    for sigma in fibres[t]])
+
+        pairs = [(t, s) for total in range(2, 7) for a in range(1, total)
+                 for t in enumerate_trees(a)
+                 for s in enumerate_trees(total - a)]
+        assert len(pairs) == 232
+        for t, s in pairs:
+            a, b = free.elem(t), free.elem(s)
+            assert phi(free.left(a, b)) == mr.left(phi(a), phi(b))
+            assert phi(free.right(a, b)) == mr.right(phi(a), phi(b))
+
 
 # ---------------------------------------------------------------------------
 # operator-induced structures
@@ -191,6 +252,14 @@ class TestSeqMat:
         assert S.left(ones, ones) == seq(S, 1, 2, 3)
         assert S.right(ones, ones) == seq(S, 0, 1, 2)
         assert S.star(ones, ones) == seq(S, 1, 3, 5)
+
+    @pytest.mark.parametrize("max_degree", [0, 1, 3])
+    def test_every_key_has_degree_zero(self, max_degree):
+        """The basis has no grading: any bound admits every key triple."""
+        S = rb_seqmat_structure(theta=1, k=1, N=2)
+        keys = S.basis_keys(max_degree)
+        assert [S.degree(key) for key in keys] == [0, 0]
+        assert S.self_test(max_degree) == len(keys) ** 3
 
     def test_weight_rule_on_samples(self):
         S = rb_seqmat_structure(theta=Fraction(2, 3), k=2, N=3)
@@ -282,6 +351,21 @@ def test_rb_nested_sums_match_literal_loops(selector):
     for n in range(1, 5):
         args = S.sweep_args(n, seed=n)
         assert _rb_nested_sums(S, args) == _literal_nested_sums(S, args)
+
+
+@pytest.mark.parametrize("S", [
+    *(rb_seqmat_structure(theta=th, k=k, N=n, check=False)
+      for th in RB_THETAS for k in (1, 2) for n in (1, 2, 3)),
+    *(rb_polymat_structure(k=k, check=False) for k in (1, 2)),
+], ids=lambda S: S.name)
+def test_weight_rule_on_every_key_pair(S):
+    """R(a)R(b) = R(R(a)b + aR(b) + theta ab) on all pairs, not a sample."""
+    keys = list(S.basis_keys(2))
+    for ka, kb in itertools.product(keys, repeat=2):
+        a, b = S.elem(ka), S.elem(kb)
+        inner = S.carrier_mul(S.R(a), b) + S.carrier_mul(a, S.R(b)) \
+            + S.carrier_mul(a, b).scale(S.theta)
+        assert S.carrier_mul(S.R(a), S.R(b)) == S.R(inner)
 
 
 class _InclusiveSums(SeqMatBackend):
