@@ -99,8 +99,8 @@ class DendriformStructure:
         """Accumulate the half-products in halves of xs by ys into data.
 
         halves holds (table, basis_fn) pairs; a key pair missing from a table
-        is filled from its basis_fn.  xs and ys are (key, Fraction) pairs of
-        non-unit keys.
+        is filled from its basis_fn.  xs and ys are (key, exact scalar) pairs
+        of non-unit keys.
         """
         for k1, c1 in xs:
             for k2, c2 in ys:

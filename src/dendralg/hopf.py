@@ -71,9 +71,9 @@ def dynkin_word(w) -> Elem:
         raise TypeError(f"expected Word or word Elem, got {w!r}")
     if len(w) == 0:
         raise EmptyWord("the Dynkin operator needs at least one letter")
-    acc = Elem.term(WORD_SORT, Word((w[0],)))
+    acc = Elem._trusted(WORD_SORT, {Word._trusted(w.letters[:1]): 1})
     for a in w.letters[1:]:
-        letter = Elem.term(WORD_SORT, Word((a,)))
+        letter = Elem._trusted(WORD_SORT, {Word._trusted((a,)): 1})
         acc = concat_mul(acc, letter) - concat_mul(letter, acc)
     return acc
 
@@ -133,9 +133,9 @@ def convolve(f: GradedEndo, g: GradedEndo) -> GradedEndo:
         for k in range(n + 1):
             for picked in itertools.combinations(range(n), k):
                 chosen = set(picked)
-                left = Word(tuple(letters[i] for i in picked))
-                right = Word(tuple(letters[i] for i in range(n)
-                                   if i not in chosen))
+                left = Word._trusted(tuple(letters[i] for i in picked))
+                right = Word._trusted(tuple(letters[i] for i in range(n)
+                                            if i not in chosen))
                 fl = f(left)
                 if not fl:
                     continue
@@ -280,7 +280,7 @@ def comp_coproduct(x) -> dict:
                     grown[(nl, nr)] = grown.get((nl, nr), 0) + c
             pairs = grown
         for split, c in pairs.items():
-            out[split] = out.get(split, Fraction(0)) + coeff * c
+            out[split] = out.get(split, 0) + coeff * c
     return {split: c for split, c in out.items() if c}
 
 

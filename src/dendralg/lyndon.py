@@ -28,11 +28,12 @@ from dataclasses import dataclass
 from .dendriform import DendriformStructure, ell, prelie_left, prelie_right, r
 from .errors import EmptyArgumentList, EmptyWord
 from .hopf import comp_denominator, concat_mul, dynkin_word
-from .ncalg import Elem, Perm, Word, WORD_SORT, _accumulate, elem_sum
+from .ncalg import Elem, Perm, Word, WORD_SORT, elem_sum
 
 __all__ = [
     "Profile", "profile", "omega_conjugate", "t_sigma", "u_sigma",
-    "spitzer_sums", "bohnenblust_spitzer_check", "is_lyndon", "cfl_factorize",
+    "spitzer_sums", "right_chain_sum", "e_block_sum", "left_chain_sum",
+    "f_block_sum", "bohnenblust_spitzer_check", "is_lyndon", "cfl_factorize",
     "lyn_set", "pbw_expansion", "lyndon_census", "census_formula",
 ]
 
@@ -110,7 +111,7 @@ def omega_conjugate(sigma) -> Perm:
     if not isinstance(sigma, Perm):
         sigma = Perm(sigma)
     n = sigma.n
-    return Perm(tuple(n + 1 - sigma(n + 1 - i) for i in range(1, n + 1)))
+    return Perm._trusted(tuple(n + 1 - v for v in reversed(sigma.image)))
 
 
 def t_sigma(S: DendriformStructure, sigma, args) -> Elem:
@@ -139,49 +140,61 @@ def u_sigma(S: DendriformStructure, sigma, args) -> Elem:
     return acc
 
 
-def spitzer_sums(S: DendriformStructure, args) -> dict:
-    """All four symmetric-group sums at once, as recursions on index tuples.
-
-    Returns right_chain (left-nested > chains), t_sum (E-block pre-Lie
-    products), left_chain (right-nested < chains) and u_sum (F-block
-    products), each summed over the full symmetric group on the arguments.
-    A permutation is the tuple of argument indices in reading order.  T and
-    U peel their last block, so the star products keep reading order:
-    t(idx) = t(idx[:m]) * ell(idx[m:]) with m the position of max(idx), as
-    the last E-block starts at the global maximum; u(idx) = u(idx[:m]) *
-    r(idx[m:]) with m one past the last position holding a value below
-    idx[-1], as the last F-block ends at its own minimum; t(()) = u(()) = 1.
-    The chains and block words are memoized per index tuple, taken as varargs
-    so that the cache key is the tuple itself.  T and U are not: caching them
-    raises peak memory and saves no time.
-    """
-    args = list(args)
+def _orders(args: list):
+    """Every permutation of the argument indices, as a tuple in reading order."""
     if not args:
         raise EmptyArgumentList("the symmetrized identities need arguments")
+    return itertools.permutations(range(len(args)))
+
+
+def right_chain_sum(S: DendriformStructure, args) -> Elem:
+    """Sum over the symmetric group of the left-nested > chains
+    (...(a_s1 > a_s2) > ...) > a_sn.
+
+    The chains are memoized per index tuple within the call, taken as
+    varargs so that the cache key is the tuple itself.
+    """
+    args = list(args)
 
     @functools.cache
-    def chain_right(*idx: int) -> Elem:
+    def chain(*idx: int) -> Elem:
         if len(idx) == 1:
             return args[idx[0]]
-        return S.right(chain_right(*idx[:-1]), args[idx[-1]])
+        return S.right(chain(*idx[:-1]), args[idx[-1]])
+
+    return elem_sum(S.sort, (chain(*image) for image in _orders(args)))
+
+
+def left_chain_sum(S: DendriformStructure, args) -> Elem:
+    """Sum over the symmetric group of the right-nested < chains
+    a_s1 < (a_s2 < ... (a_s(n-1) < a_sn)...), memoized as in right_chain_sum."""
+    args = list(args)
 
     @functools.cache
-    def chain_left(*idx: int) -> Elem:
+    def chain(*idx: int) -> Elem:
         if len(idx) == 1:
             return args[idx[0]]
-        return S.left(args[idx[0]], chain_left(*idx[1:]))
+        return S.left(args[idx[0]], chain(*idx[1:]))
+
+    return elem_sum(S.sort, (chain(*image) for image in _orders(args)))
+
+
+def e_block_sum(S: DendriformStructure, args) -> Elem:
+    """Sum of T(sigma), the E-block pre-Lie products, over the symmetric group.
+
+    t(idx) = t(idx[:m]) * ell(idx[m:]) with m the position of max(idx), as
+    the last E-block starts at the global maximum, and t(()) = 1; peeling
+    the last block keeps the star products in reading order.  The block
+    words are memoized per index tuple within the call; T is not, as caching
+    it raises peak memory and saves no time.
+    """
+    args = list(args)
 
     @functools.cache
     def ell_at(*idx: int) -> Elem:
         if len(idx) == 1:
             return args[idx[0]]
         return prelie_left(S, ell_at(*idx[:-1]), args[idx[-1]])
-
-    @functools.cache
-    def r_at(*idx: int) -> Elem:
-        if len(idx) == 1:
-            return args[idx[0]]
-        return prelie_right(S, args[idx[0]], r_at(*idx[1:]))
 
     unit = S.unit()
 
@@ -191,23 +204,51 @@ def spitzer_sums(S: DendriformStructure, args) -> dict:
         m = idx.index(max(idx))
         return S.star(t(idx[:m]), ell_at(*idx[m:]))
 
+    return elem_sum(S.sort, (t(image) for image in _orders(args)))
+
+
+def f_block_sum(S: DendriformStructure, args) -> Elem:
+    """Sum of U(sigma), the F-block pre-Lie products, over the symmetric group.
+
+    u(idx) = u(idx[:m]) * r(idx[m:]) with m one past the last position
+    holding a value below idx[-1], as the last F-block ends at its own
+    minimum, and u(()) = 1; memoized as in e_block_sum.
+    """
+    args = list(args)
+
+    @functools.cache
+    def r_at(*idx: int) -> Elem:
+        if len(idx) == 1:
+            return args[idx[0]]
+        return prelie_right(S, args[idx[0]], r_at(*idx[1:]))
+
+    unit = S.unit()
+
     def u(idx: tuple) -> Elem:
         if not idx:
             return unit
         m = max((p + 1 for p, v in enumerate(idx) if v < idx[-1]), default=0)
         return S.star(u(idx[:m]), r_at(*idx[m:]))
 
-    rc_sum, t_sum, lc_sum, u_sum = {}, {}, {}, {}
-    for image in itertools.permutations(range(len(args))):
-        _accumulate(rc_sum, chain_right(*image)._terms)
-        _accumulate(t_sum, t(image)._terms)
-        _accumulate(lc_sum, chain_left(*image)._terms)
-        _accumulate(u_sum, u(image)._terms)
+    return elem_sum(S.sort, (u(image) for image in _orders(args)))
+
+
+def spitzer_sums(S: DendriformStructure, args) -> dict:
+    """All four symmetric-group sums of the Bohnenblust-Spitzer identities.
+
+    Returns right_chain (left-nested > chains), t_sum (E-block pre-Lie
+    products), left_chain (right-nested < chains) and u_sum (F-block
+    products), each summed over the full symmetric group on the arguments.
+    A permutation is the tuple of argument indices in reading order, and T
+    and U are recursions on it.  The four sums share no intermediate
+    result, so each is its own function with its memos local to one call.
+    """
+    args = list(args)
     return {
-        "right_chain": Elem._trusted(S.sort, rc_sum),
-        "t_sum": Elem._trusted(S.sort, t_sum),
-        "left_chain": Elem._trusted(S.sort, lc_sum),
-        "u_sum": Elem._trusted(S.sort, u_sum),
+        "right_chain": right_chain_sum(S, args),
+        "t_sum": e_block_sum(S, args),
+        "left_chain": left_chain_sum(S, args),
+        "u_sum": f_block_sum(S, args),
     }
 
 
@@ -278,18 +319,18 @@ def lyn_set(beta) -> list:
     """
     if not isinstance(beta, Perm):
         beta = Perm(beta)
-    n = beta.n
+    relabel = beta.image
     out = []
-    for image in itertools.permutations(range(1, n + 1)):
-        relabeled = tuple(beta(v) for v in image)
-        ok = True
-        for block in _blocks(n, _e_cuts(image)):
-            vals = [relabeled[p - 1] for p in block]
-            if any(x >= y for x, y in zip(vals, vals[1:])):
-                ok = False
+    for image in itertools.permutations(range(1, beta.n + 1)):
+        best = last = 0
+        for v in image:
+            if v > best:        # a running maximum starts a new E-block
+                best = v
+            elif relabel[v - 1] <= last:
                 break
-        if ok:
-            out.append(Perm(image))
+            last = relabel[v - 1]
+        else:
+            out.append(Perm._trusted(image))
     return out
 
 
@@ -303,22 +344,36 @@ def pbw_expansion(beta) -> Elem:
     """
     if not isinstance(beta, Perm):
         beta = Perm(beta)
+    relabel = beta.image
+
     def terms():
         for sigma in lyn_set(beta):
             term = Elem.unit(WORD_SORT)
             for vals in profile(sigma).e_values:
                 term = concat_mul(
-                    term, dynkin_word(Word(tuple(beta(v) for v in vals))))
+                    term, dynkin_word(Word._trusted(tuple(relabel[v - 1]
+                                                          for v in vals))))
             yield term
 
     return elem_sum(WORD_SORT, terms())
 
 
 def lyndon_census(n: int) -> dict:
-    """Count permutations of n by their E-block length composition."""
+    """Count the permutations of 1..n, n >= 1, by E-block length composition.
+
+    An E-block starts at each strict running maximum, so the composition is
+    the gaps between successive starts, the last one running to n.
+    """
     out: dict = {}
     for image in itertools.permutations(range(1, n + 1)):
-        comp = tuple(len(b) for b in _blocks(n, _e_cuts(image)))
+        comp, start, best = [], 0, 0
+        for k, v in enumerate(image):
+            if v > best:
+                if k:
+                    comp.append(k - start)
+                start, best = k, v
+        comp.append(n - start)
+        comp = tuple(comp)
         out[comp] = out.get(comp, 0) + 1
     return out
 

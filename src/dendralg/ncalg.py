@@ -1,22 +1,27 @@
 """Exact sparse linear combinations over ordered combinatorial bases.
 
-Scalars are rationals (`fractions.Fraction`, always lowest terms, positive
-denominator).  An `Elem` is a finite linear combination of basis keys with a
-deterministic term order; a `Series` is a truncated power series in a formal
-parameter t whose coefficients are elements.  Words and permutations, the two
+Scalars are exact rationals with one representation each: a plain `int`
+when the value is integral, otherwise a `fractions.Fraction` (lowest terms,
+positive denominator above 1).  An `Elem` is a finite linear combination of
+basis keys with a deterministic term order; a `Series` is a truncated power
+series in a formal parameter t whose coefficients are elements.  Words and permutations, the two
 basis key types shared by several structures, live here as well.
 
 Every sum of elements inside the package goes through one accumulation path:
 `_accumulate(data, terms, c)` adds c times some terms into a plain dict, and
 `Elem._trusted(sort, data)` drops the zero coefficients of that dict in place
-and wraps it without looking at its keys or scalars again.  A sum of k terms
-in total therefore costs O(k), however many summands it has.  The basis
+and wraps it; in the same pass it turns any integral `Fraction` (such as
+1/2 + 1/2) into its `int`, and it looks at the keys no further.  A sum of k
+terms in total therefore costs O(k), however many summands it has.  The basis
 product tables of the dendriform structures store their terms grouped by
 coefficient (`_group_terms`), and `_accumulate_groups` is the same add for
 that form: one multiply per group rather than per term.  Validation
 (that every key belongs to the sort, that every coefficient is an exact
 scalar) happens only in the public constructor `Elem(sort, terms)`, where
-outside data comes in.
+outside data comes in.  Keys follow the same rule: `Word(...)` and
+`Perm(...)` check their letters, while `Word._trusted` and `Perm._trusted`
+take a tuple that the calling code builds valid by construction.  Each key
+keeps the hash of its tuple, so dict operations on keys cost one slot read.
 """
 
 from __future__ import annotations
@@ -32,15 +37,22 @@ from .errors import (
     SortMismatch,
 )
 
-Scalar = Fraction
+Scalar = int | Fraction
 
 
-def as_scalar(c) -> Fraction:
-    """Coerce an int or Fraction to a Scalar; floats are rejected to stay exact."""
+def as_scalar(c) -> Scalar:
+    """The one representation of an int or Fraction; floats are rejected.
+
+    An integral value becomes a plain int (True becomes 1), any other
+    Fraction is returned unchanged.
+
+    >>> as_scalar(Fraction(4, 2)), as_scalar(True), as_scalar(Fraction(1, 3))
+    (2, 1, Fraction(1, 3))
+    """
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
@@ -55,7 +67,7 @@ class Word:
     [Word((1,)), Word((2,)), Word((1, 1))]
     """
 
-    __slots__ = ("letters",)
+    __slots__ = ("letters", "_hash")
 
     def __init__(self, letters: Iterable[int]):
         letters = tuple(letters)
@@ -63,6 +75,15 @@ class Word:
             if not isinstance(a, int) or a < 1:
                 raise ValueError(f"letters must be positive integers, got {a!r}")
         object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "_hash", hash(letters))
+
+    @classmethod
+    def _trusted(cls, letters: tuple) -> "Word":
+        """The word on a tuple of positive ints, taken without checking it."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "letters", letters)
+        object.__setattr__(out, "_hash", hash(letters))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -77,13 +98,13 @@ class Word:
         return self.letters[i]
 
     def __add__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word._trusted(self.letters + other.letters)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Word) and self.letters == other.letters
 
     def __hash__(self) -> int:
-        return hash(("Word", self.letters))
+        return self._hash
 
     def __lt__(self, other: "Word") -> bool:
         # length-lex: shorter first, then lexicographic
@@ -107,7 +128,7 @@ class Perm:
     3
     """
 
-    __slots__ = ("image",)
+    __slots__ = ("image", "_hash")
 
     def __init__(self, image: Iterable[int]):
         image = tuple(image)
@@ -115,6 +136,15 @@ class Perm:
         if sorted(image) != list(range(1, n + 1)):
             raise InvalidPermutation(f"not one-line data for S_{n}: {image}")
         object.__setattr__(self, "image", image)
+        object.__setattr__(self, "_hash", hash(image))
+
+    @classmethod
+    def _trusted(cls, image: tuple) -> "Perm":
+        """The permutation with one-line tuple image, taken without checking it."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "image", image)
+        object.__setattr__(out, "_hash", hash(image))
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Perm is immutable")
@@ -135,22 +165,22 @@ class Perm:
         inv = [0] * len(self.image)
         for i, v in enumerate(self.image, start=1):
             inv[v - 1] = i
-        return Perm(inv)
+        return Perm._trusted(tuple(inv))
 
     def compose(self, other: "Perm") -> "Perm":
         """self after other: (self.compose(other))(i) = self(other(i))."""
         if len(self.image) != len(other.image):
             raise InvalidPermutation("can only compose permutations of equal size")
-        return Perm(tuple(self(other(i)) for i in range(1, len(self.image) + 1)))
+        return Perm._trusted(tuple(self.image[v - 1] for v in other.image))
 
     def as_word(self) -> Word:
-        return Word(self.image)
+        return Word._trusted(self.image)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.image == other.image
 
     def __hash__(self) -> int:
-        return hash(("Perm", self.image))
+        return self._hash
 
     def __lt__(self, other: "Perm") -> bool:
         return (len(self.image), self.image) < (len(other.image), other.image)
@@ -225,11 +255,12 @@ def _bad_key(sort_name, key):
 def _accumulate(data: dict, terms, c=1) -> dict:
     """Add c * terms into data, in place, and return data.
 
-    The one accumulation path of the package.  data maps keys to Fractions
-    and may be left holding zeros; terms is a key -> coefficient mapping or
-    an iterable of (key, coefficient) pairs.  Nothing is checked: the caller
-    vouches that the keys belong to the sort of data, that the coefficients
-    are Fractions and that c is an int or a Fraction.
+    The one accumulation path of the package.  data maps keys to exact
+    scalars and may be left holding zeros and integral Fractions, which
+    `Elem._trusted` clears; terms is a key -> coefficient mapping or an
+    iterable of (key, coefficient) pairs.  Nothing is checked: the caller
+    vouches that the keys belong to the sort of data and that the
+    coefficients and c are ints or Fractions.
     """
     items = terms.items() if isinstance(terms, dict) else terms
     get = data.get
@@ -261,12 +292,12 @@ def _group_terms(terms: dict) -> tuple:
     return tuple((c, tuple(keys)) for c, keys in groups.items())
 
 
-def _accumulate_groups(data: dict, groups, c: Fraction) -> dict:
+def _accumulate_groups(data: dict, groups, c: Scalar) -> dict:
     """Add c times the grouped terms ((coef, (key, ...)), ...) into data.
 
     `_accumulate` for terms stored by `_group_terms`: one multiply per
-    group, none when coef is 1, and one add per key.  c must be a Fraction,
-    and the same caller guarantees as for `_accumulate` hold.
+    group, none when coef is 1, and one add per key.  c must be an int or a
+    Fraction, and the same caller guarantees as for `_accumulate` hold.
     """
     get = data.get
     for coef, keys in groups:
@@ -280,9 +311,11 @@ def _accumulate_groups(data: dict, groups, c: Fraction) -> dict:
 class Elem:
     """A finite linear combination of basis keys with rational coefficients.
 
-    Canonical form: zero coefficients are never stored, so equality is dict
-    equality.  Addition, subtraction, negation and scalar multiples are
-    supported directly; products belong to the structures that own them.
+    Canonical form: zero coefficients are never stored, and a stored
+    coefficient is an int when it is integral and otherwise a Fraction, so
+    equality is dict equality.  Addition, subtraction, negation and scalar
+    multiples are supported directly; products belong to the structures
+    that own them.
     """
 
     __slots__ = ("sort", "_terms")
@@ -296,7 +329,7 @@ class Elem:
             if not c:
                 continue
             c0 = data.get(key)
-            c = c if c0 is None else c0 + c
+            c = c if c0 is None else as_scalar(c0 + c)
             if c:
                 data[key] = c
             elif key in data:
@@ -309,13 +342,18 @@ class Elem:
 
     @classmethod
     def _trusted(cls, sort: BasisSort, data: dict) -> "Elem":
-        """Wrap a dict filled by `_accumulate`, dropping its zeros in place.
+        """Wrap a dict filled by `_accumulate`, normalizing it in place.
 
-        The dict is taken over, not copied, and its keys and scalars are not
+        One pass drops the zeros and turns each integral Fraction into its
+        int.  The dict is taken over, not copied, and its keys are not
         validated again.
         """
-        for key in [key for key, c in data.items() if not c]:
-            del data[key]
+        for key, c in [(key, c) for key, c in data.items()
+                       if not c or type(c) is Fraction and c.denominator == 1]:
+            if c:
+                data[key] = c.numerator
+            else:
+                del data[key]
         out = cls.__new__(cls)
         object.__setattr__(out, "sort", sort)
         object.__setattr__(out, "_terms", data)
@@ -333,12 +371,12 @@ class Elem:
     def unit(cls, sort: BasisSort) -> "Elem":
         return cls(sort, [(sort.unit_key, 1)])
 
-    def coeff(self, key) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+    def coeff(self, key) -> Scalar:
+        return self._terms.get(key, 0)
 
     @property
-    def unit_coeff(self) -> Fraction:
-        return self._terms.get(self.sort.unit_key, Fraction(0))
+    def unit_coeff(self) -> Scalar:
+        return self._terms.get(self.sort.unit_key, 0)
 
     def without_unit(self) -> "Elem":
         if self.sort.unit_key not in self._terms:

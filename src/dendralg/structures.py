@@ -75,6 +75,18 @@ def _half_shuffle(head: tuple, u: tuple, v: tuple, out: dict) -> dict:
     return out
 
 
+def _words(counts: dict) -> Elem:
+    """The word element of a letter tuple -> multiplicity dict."""
+    return Elem._trusted(WORD_SORT,
+                         {Word._trusted(t): c for t, c in counts.items()})
+
+
+def _perms(counts: dict) -> Elem:
+    """The permutation element of a one-line tuple -> multiplicity dict."""
+    return Elem._trusted(PERM_SORT,
+                         {Perm._trusted(t): c for t, c in counts.items()})
+
+
 class _WordStructure(DendriformStructure):
     sort = WORD_SORT
 
@@ -102,13 +114,11 @@ class ShuffleStructure(_WordStructure):
 
     def basis_left(self, w1: Word, w2: Word) -> Elem:
         u, v = w1.letters, w2.letters
-        return Elem(WORD_SORT, [(Word(t), c) for t, c in
-                                _half_shuffle(u[:1], u[1:], v, {}).items()])
+        return _words(_half_shuffle(u[:1], u[1:], v, {}))
 
     def basis_right(self, w1: Word, w2: Word) -> Elem:
         u, v = w1.letters, w2.letters
-        return Elem(WORD_SORT, [(Word(t), c) for t, c in
-                                _half_shuffle(v[:1], u, v[1:], {}).items()])
+        return _words(_half_shuffle(v[:1], u, v[1:], {}))
 
 
 class MaxStructure(_WordStructure):
@@ -136,13 +146,13 @@ class MaxStructure(_WordStructure):
 
     def basis_left(self, w1: Word, w2: Word) -> Elem:
         if self._top(w1) >= self._top(w2):
-            return Elem.term(WORD_SORT, w1 + w2)
-        return Elem.zero(WORD_SORT)
+            return Elem._trusted(WORD_SORT, {w1 + w2: 1})
+        return Elem._trusted(WORD_SORT, {})
 
     def basis_right(self, w1: Word, w2: Word) -> Elem:
         if self._top(w1) < self._top(w2):
-            return Elem.term(WORD_SORT, w1 + w2)
-        return Elem.zero(WORD_SORT)
+            return Elem._trusted(WORD_SORT, {w1 + w2: 1})
+        return Elem._trusted(WORD_SORT, {})
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +172,11 @@ class MRStructure(DendriformStructure):
 
     def basis_left(self, p: Perm, q: Perm) -> Elem:
         u, v = p.image, tuple(x + len(p) for x in q.image)
-        return Elem(PERM_SORT, [(Perm(t), c) for t, c in
-                                _half_shuffle(u[:1], u[1:], v, {}).items()])
+        return _perms(_half_shuffle(u[:1], u[1:], v, {}))
 
     def basis_right(self, p: Perm, q: Perm) -> Elem:
         u, v = p.image, tuple(x + len(p) for x in q.image)
-        return Elem(PERM_SORT, [(Perm(t), c) for t, c in
-                                _half_shuffle(v[:1], u, v[1:], {}).items()])
+        return _perms(_half_shuffle(v[:1], u, v[1:], {}))
 
     def degree(self, key: Perm) -> int:
         return len(key)
@@ -176,7 +184,7 @@ class MRStructure(DendriformStructure):
     def basis_keys(self, max_degree: int):
         for d in range(1, max_degree + 1):
             for image in itertools.permutations(range(1, d + 1)):
-                yield Perm(image)
+                yield Perm._trusted(image)
 
     def generator(self, seed: int = 0) -> Elem:
         return self.elem(Perm((1,)))
@@ -269,12 +277,12 @@ class FreeStructure(DendriformStructure):
     sort = TREE_SORT
 
     def basis_left(self, t: Tree, s: Tree) -> Elem:
-        return Elem(TREE_SORT,
-                    [(Tree(t.left, m), c) for m, c in self._star_keys(t.right, s)])
+        return Elem._trusted(TREE_SORT, {Tree(t.left, m): c
+                                         for m, c in self._star_keys(t.right, s)})
 
     def basis_right(self, t: Tree, s: Tree) -> Elem:
-        return Elem(TREE_SORT,
-                    [(Tree(m, s.right), c) for m, c in self._star_keys(t, s.left)])
+        return Elem._trusted(TREE_SORT, {Tree(m, s.right): c
+                                         for m, c in self._star_keys(t, s.left)})
 
     def _star_keys(self, u: Tree, v: Tree):
         """u * v on trees as (tree, coeff) pairs; the leaf is the unit key.
@@ -355,7 +363,7 @@ class PolyMatBackend:
     weight-0 operator by integration by parts.
     """
 
-    theta = Fraction(0)
+    theta = 0
 
     def __init__(self, k: int):
         self.k = int(k)
@@ -381,7 +389,7 @@ class PolyMatBackend:
 
     def r_key(self, key):
         i, j, d = key
-        return (((i, j, d + 1), Fraction(1, d + 1)),)
+        return (((i, j, d + 1), as_scalar(Fraction(1, d + 1))),)
 
     def key_degree(self, key):
         return key[2]

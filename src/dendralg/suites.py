@@ -432,8 +432,8 @@ def _rb_corollary(suite: str, selectors: tuple, options: Options, checks):
             primed = S.with_variant("primed")
             checks(run, S, _Corollary(
                 args, plain, primed, nested1, nested2,
-                lyndon.spitzer_sums(plain, args)["t_sum"],
-                lyndon.spitzer_sums(primed, args)["u_sum"]))
+                lyndon.e_block_sum(plain, args),
+                lyndon.f_block_sum(primed, args)))
             return run.report()
         yield thunk
 

@@ -17,6 +17,7 @@ from dendralg import (
     bernoulli_numbers, from_selector, magnus_omega, opposite, random_element,
     series_mul,
 )
+from dendralg.ncalg import WORD_SORT, linear_combination
 from dendralg.magnus import prelie_word_series
 from dendralg.structures import FreeStructure, MRStructure
 
@@ -57,8 +58,11 @@ def elements(S, unit=False):
 
 
 def canonical(e):
-    """No stored zero and no stored non-Fraction coefficient."""
-    return all(type(c) is Fraction and c != 0 for c in e._terms.values())
+    """Every stored coefficient is nonzero and has its one representation:
+    an int, or a Fraction with a denominator above 1."""
+    return all(c != 0 and (type(c) is int
+                           or type(c) is Fraction and c.denominator > 1)
+               for c in e._terms.values())
 
 
 def reference_half(S, basis_fn, x, y):
@@ -120,6 +124,50 @@ def test_linear_operations_stay_canonical(data, c):
     assert x - x == Elem.zero(S.sort)
     # a product that cancels to zero term by term
     assert canonical(S.star(x, y) - S.star(x, y))
+
+
+HALF = Fraction(1, 2)
+
+
+def test_integral_sums_store_ints():
+    """1/2 + 1/2 is stored as the int 1 on every path that can produce it."""
+    one = Word((1,))
+    built = Elem(WORD_SORT, [(one, HALF), (one, HALF)])
+    half = Elem.term(WORD_SORT, one, HALF)
+    for e in (built, half + half, half.scale(2), half - half.scale(-1),
+              half / HALF, linear_combination(WORD_SORT, [(half, 2)])):
+        assert canonical(e)
+        assert type(e.coeff(one)) is int and e.coeff(one) == 1
+
+
+def test_bool_and_integral_fraction_coefficients_become_ints():
+    one = Word((1,))
+    for c in (True, Fraction(1), Fraction(4, 4)):
+        e = Elem(WORD_SORT, [(one, c)])
+        assert canonical(e) and type(e.coeff(one)) is int
+    assert Elem(WORD_SORT, [(one, False)]).is_zero()
+
+
+def test_absent_coefficients_are_the_int_zero():
+    e = Elem.term(WORD_SORT, Word((1,)), HALF)
+    assert type(e.coeff(Word((2,)))) is int and e.coeff(Word((2,))) == 0
+    assert type(e.unit_coeff) is int and e.unit_coeff == 0
+
+
+def test_keys_of_different_types_stay_distinct_under_equal_hashes():
+    """A key hashes as its tuple, and its equality still checks its type."""
+    assert hash(Word((1,))) == hash(Perm((1,))) == hash((1,))
+    assert Word((1,)) != Perm((1,)) and Perm((1,)) != Word((1,))
+    assert Word(()) != () and () != Word(())
+    assert Word((1,)) != (1,)
+    assert len({Word((1,)), Perm((1,)), (1,), Word(()), Perm(()), ()}) == 6
+
+
+def test_trusted_keys_equal_validated_ones():
+    assert Word._trusted((2, 1)) == Word((2, 1))
+    assert hash(Word._trusted((2, 1))) == hash(Word((2, 1)))
+    assert Perm._trusted((2, 1)) == Perm((2, 1))
+    assert hash(Perm._trusted((2, 1))) == hash(Perm((2, 1)))
 
 
 @settings(max_examples=25, deadline=None)

@@ -288,6 +288,15 @@ class TestCensus:
         assert census_formula((2, 4, 1)) == math.factorial(7) // (2 * 6 * 7)
         assert census_formula((1,) * 4) == 1
 
+    def test_counts_match_the_profile_compositions(self):
+        """The one-pass count agrees with the cut lists of `profile`."""
+        for n in range(1, 7):
+            expected: dict = {}
+            for image in itertools.permutations(range(1, n + 1)):
+                comp = profile(image).composition
+                expected[comp] = expected.get(comp, 0) + 1
+            assert lyndon_census(n) == expected
+
 
 # ---------------------------------------------------------------------------
 # bracketed expansions of the increasing word
@@ -299,6 +308,17 @@ BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
 class TestPBW:
     def test_identity_relabelling_admits_only_identity(self):
         assert lyn_set(Perm((1, 2, 3, 4))) == [Perm((1, 2, 3, 4))]
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 4))
+    def test_admitted_permutations_match_the_profile_blocks(self, n):
+        """lyn_set keeps exactly the sigma whose relabelled E-block values
+        increase, read off `profile`'s cut lists, for every beta in S_n."""
+        for beta in itertools.permutations(range(1, n + 1)):
+            expected = [
+                Perm(image) for image in itertools.permutations(range(1, n + 1))
+                if all(all(beta[a - 1] < beta[b - 1] for a, b in zip(vals, vals[1:]))
+                       for vals in profile(image).e_values)]
+            assert lyn_set(beta) == expected
 
     @pytest.mark.parametrize("n", sorted(BELL))
     def test_reversal_admits_bell_many(self, n):
