@@ -151,8 +151,9 @@ def right_chain_sum(S: DendriformStructure, args) -> Elem:
     """Sum over the symmetric group of the left-nested > chains
     (...(a_s1 > a_s2) > ...) > a_sn.
 
-    The chains are memoized per index tuple within the call, taken as
-    varargs so that the cache key is the tuple itself.
+    A permutation is the tuple of argument indices in reading order.  The
+    chains are memoized per index tuple within the call, taken as varargs
+    so that the cache key is the tuple itself.
     """
     args = list(args)
 
@@ -234,14 +235,10 @@ def f_block_sum(S: DendriformStructure, args) -> Elem:
 
 
 def spitzer_sums(S: DendriformStructure, args) -> dict:
-    """All four symmetric-group sums of the Bohnenblust-Spitzer identities.
+    """The four symmetric-group sums of the Bohnenblust-Spitzer identities.
 
-    Returns right_chain (left-nested > chains), t_sum (E-block pre-Lie
-    products), left_chain (right-nested < chains) and u_sum (F-block
-    products), each summed over the full symmetric group on the arguments.
-    A permutation is the tuple of argument indices in reading order, and T
-    and U are recursions on it.  The four sums share no intermediate
-    result, so each is its own function with its memos local to one call.
+    right_chain, t_sum, left_chain and u_sum, from the four functions above;
+    they share no intermediate result, so each keeps its own memos.
     """
     args = list(args)
     return {
@@ -359,20 +356,20 @@ def pbw_expansion(beta) -> Elem:
 
 
 def lyndon_census(n: int) -> dict:
-    """Count the permutations of 1..n, n >= 1, by E-block length composition.
+    """Count the permutations of 1..n by their E-block length composition.
 
     An E-block starts at each strict running maximum, so the composition is
-    the gaps between successive starts, the last one running to n.
+    the gaps between successive starts; a sentinel n + 1 after the last
+    position closes the last block.
     """
     out: dict = {}
     for image in itertools.permutations(range(1, n + 1)):
         comp, start, best = [], 0, 0
-        for k, v in enumerate(image):
+        for k, v in enumerate(image + (n + 1,)):
             if v > best:
                 if k:
                     comp.append(k - start)
                 start, best = k, v
-        comp.append(n - start)
         comp = tuple(comp)
         out[comp] = out.get(comp, 0) + 1
     return out

@@ -276,6 +276,7 @@ class TestLyndon:
 class TestCensus:
     def test_small_census(self):
         assert lyndon_census(3) == {(1, 1, 1): 1, (1, 2): 2, (2, 1): 1, (3,): 2}
+        assert lyndon_census(0) == {(): 1}
 
     def test_formula(self):
         for n in range(1, 7):
