@@ -3,10 +3,13 @@
 Two Hopf-flavoured settings live here.
 
 On the word algebra (concatenation product), the Dynkin operator is the
-left-to-right iterated bracketing D(y1...yn) = [...[[y1,y2],y3]...,yn]; the
-convolution product of graded endomorphisms uses the unshuffle coproduct,
-which distributes the letters of a word over the two tensor factors across
-all complementary position subsets.
+left-to-right iterated bracketing D(y1...yn) = [...[[y1,y2],y3]...,yn], in
+closed form the sum over subsets A of {y2..yn} of (-1)^|A| (A read
+backwards) y1 (the rest read forwards).  The convolution product of graded
+endomorphisms uses the unshuffle coproduct, which distributes the letters of
+a word over the two tensor factors across all complementary position
+subsets, of size d only when the left factor is homogeneous of degree d; the
+product is homogeneous of the sum of its factors' degrees.
 
 The power sums w>(n) of a single dendriform element generate a free
 associative algebra whose basis is indexed by compositions; the coproduct
@@ -57,11 +60,41 @@ def concat_mul(x: Elem, y: Elem) -> Elem:
         for w1, c1 in x._terms.items() for w2, c2 in y._terms.items()]))
 
 
+def _bracket_terms(letters: tuple) -> list:
+    """The (letters, +-1) terms of [...[y1,y2],...,yn], not collected.
+
+    [u, a] = ua - au appends a, or prepends it with the sign flipped, so the
+    prepended letters are the subset A read backwards.
+
+    >>> _bracket_terms((1, 2, 3))
+    [((1, 2, 3), 1), ((3, 1, 2), -1), ((2, 1, 3), -1), ((3, 2, 1), 1)]
+    """
+    terms = [(letters[:1], 1)]
+    for a in letters[1:]:
+        terms = [t for u, c in terms for t in ((u + (a,), c), ((a,) + u, -c))]
+    return terms
+
+
+def _bracket_product(blocks) -> list:
+    """The terms of the concatenation product of the blocks' brackets."""
+    terms = [((), 1)]
+    for block in blocks:
+        terms = [(u + v, c * d) for u, c in terms for v, d in _bracket_terms(block)]
+    return terms
+
+
+def _word_elem(data: dict) -> Elem:
+    """The word element of a letters-tuple -> coefficient dict."""
+    return Elem._trusted(WORD_SORT, {Word._trusted(u): c for u, c in data.items()
+                                     if c})
+
+
 def dynkin_word(w) -> Elem:
     """Left-to-right iterated bracketing with [u, v] = uv - vu on words.
 
-    Accepts a Word or a word Elem (extended linearly).  In degree n the
-    operator is quasi-idempotent: applying it twice multiplies by n.
+    Accepts a Word or a word Elem (extended linearly); the closed form's
+    signed words are collected in one pass.  In degree n the operator is
+    quasi-idempotent: applying it twice multiplies by n.
     """
     if isinstance(w, Elem):
         if w.sort != WORD_SORT:
@@ -71,21 +104,19 @@ def dynkin_word(w) -> Elem:
         raise TypeError(f"expected Word or word Elem, got {w!r}")
     if len(w) == 0:
         raise EmptyWord("the Dynkin operator needs at least one letter")
-    acc = Elem._trusted(WORD_SORT, {Word._trusted(w.letters[:1]): 1})
-    for a in w.letters[1:]:
-        letter = Elem._trusted(WORD_SORT, {Word._trusted((a,)): 1})
-        acc = concat_mul(acc, letter) - concat_mul(letter, acc)
-    return acc
+    return _word_elem(_accumulate({}, _bracket_terms(w.letters)))
 
 
 class GradedEndo:
-    """A linear endomorphism of the word algebra, given on basis words."""
+    """A linear endomorphism of the word algebra, given on basis words, that
+    vanishes outside words of length degree (None: not known homogeneous)."""
 
-    __slots__ = ("name", "fn")
+    __slots__ = ("name", "fn", "degree")
 
-    def __init__(self, name: str, fn):
+    def __init__(self, name: str, fn, degree: int | None = None):
         self.name = name
         self.fn = fn
+        self.degree = degree
 
     def __call__(self, w) -> Elem:
         if isinstance(w, Word):
@@ -100,42 +131,39 @@ class GradedEndo:
 
 def counit_unit_endo() -> GradedEndo:
     """Unit-after-counit: kills positive degree, fixes the empty word."""
-    return GradedEndo(
-        "eta.eps",
-        lambda w: Elem.unit(WORD_SORT) if len(w) == 0 else Elem.zero(WORD_SORT))
+    return GradedEndo("eta.eps", lambda w: Elem.zero(WORD_SORT) if len(w)
+                      else Elem.unit(WORD_SORT), 0)
 
 
 def projection_endo(n: int) -> GradedEndo:
-    return GradedEndo(
-        f"p{n}",
-        lambda w: Elem.term(WORD_SORT, w) if len(w) == n else Elem.zero(WORD_SORT))
+    return GradedEndo(f"p{n}", lambda w: Elem.term(WORD_SORT, w) if len(w) == n
+                      else Elem.zero(WORD_SORT), n)
 
 
 def dynkin_degree_endo(n: int) -> GradedEndo:
     """The Dynkin operator restricted to degree n (zero elsewhere)."""
     if n < 1:
         raise ValueError("the graded Dynkin pieces start at degree 1")
-    return GradedEndo(
-        f"D{n}",
-        lambda w: dynkin_word(w) if len(w) == n else Elem.zero(WORD_SORT))
+    return GradedEndo(f"D{n}", lambda w: dynkin_word(w) if len(w) == n
+                      else Elem.zero(WORD_SORT), n)
 
 
 def convolve(f: GradedEndo, g: GradedEndo) -> GradedEndo:
     """Convolution with the unshuffle coproduct.
 
     (f * g)(w) distributes the letters of w over the two factors across all
-    complementary position subsets and concatenates the images.
+    complementary position subsets and concatenates the images; only left
+    subsets of size f.degree are tried when f is homogeneous.
     """
     def fn(w: Word) -> Elem:
         letters = w.letters
         n = len(letters)
         parts = []
-        for k in range(n + 1):
+        for k in range(n + 1) if f.degree is None else (f.degree,):
             for picked in itertools.combinations(range(n), k):
-                chosen = set(picked)
                 left = Word._trusted(tuple(letters[i] for i in picked))
                 right = Word._trusted(tuple(letters[i] for i in range(n)
-                                            if i not in chosen))
+                                            if i not in picked))
                 fl = f(left)
                 if not fl:
                     continue
@@ -144,7 +172,8 @@ def convolve(f: GradedEndo, g: GradedEndo) -> GradedEndo:
                     parts.append((concat_mul(fl, gr), 1))
         return linear_combination(WORD_SORT, parts)
 
-    return GradedEndo(f"({f.name}*{g.name})", fn)
+    degree = None if None in (f.degree, g.degree) else f.degree + g.degree
+    return GradedEndo(f"({f.name}*{g.name})", fn, degree)
 
 
 def convolve_many(endos) -> GradedEndo:
@@ -176,15 +205,12 @@ def ordered_partition_expansion(n: int) -> Elem:
     D(J) brackets the increasing word on J; block sizes follow the
     composition (i1..ik).  The sum collapses to the single word x1...xn.
     """
-    parts = []
+    data: dict = {}
     for comp in compositions(n):
         denom = Fraction(1, comp_denominator(comp))
         for blocks in _ordered_partitions(tuple(range(1, n + 1)), comp):
-            term = Elem.unit(WORD_SORT)
-            for block in blocks:
-                term = concat_mul(term, dynkin_word(Word(block)))
-            parts.append((term, denom))
-    return linear_combination(WORD_SORT, parts)
+            _accumulate(data, _bracket_product(blocks), denom)
+    return _word_elem(data)
 
 
 def _ordered_partitions(universe: tuple, sizes: tuple):

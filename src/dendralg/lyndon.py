@@ -23,12 +23,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dendriform import DendriformStructure, ell, prelie_left, prelie_right, r
 from .errors import EmptyArgumentList, EmptyWord
-from .hopf import comp_denominator, concat_mul, dynkin_word
-from .ncalg import Elem, Perm, Word, WORD_SORT, elem_sum
+from .hopf import _bracket_product, _word_elem, comp_denominator
+from .ncalg import Elem, Perm, _accumulate, elem_sum
 
 __all__ = [
     "Profile", "profile", "omega_conjugate", "t_sigma", "u_sigma",
@@ -71,8 +71,7 @@ def _blocks(n: int, cuts: tuple) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(NamedTuple):
     """The E/F cut data of one permutation.
 
     e_set holds the positions k where position k+1 carries a new
@@ -336,23 +335,18 @@ def pbw_expansion(beta) -> Elem:
 
     Each E-block contributes the left-to-right Dynkin bracketing of its
     relabelled (increasing) values; blocks multiply by concatenation in
-    reading order.  For every relabelling beta the total collapses to the
-    single increasing word x1...xn.
+    reading order, expanded from the bracket terms into one sum.  For every
+    relabelling beta the total collapses to the single increasing word x1...xn.
     """
     if not isinstance(beta, Perm):
         beta = Perm(beta)
     relabel = beta.image
-
-    def terms():
-        for sigma in lyn_set(beta):
-            term = Elem.unit(WORD_SORT)
-            for vals in profile(sigma).e_values:
-                term = concat_mul(
-                    term, dynkin_word(Word._trusted(tuple(relabel[v - 1]
-                                                          for v in vals))))
-            yield term
-
-    return elem_sum(WORD_SORT, terms())
+    data: dict = {}
+    for sigma in lyn_set(beta):
+        _accumulate(data, _bracket_product(
+            tuple(relabel[v - 1] for v in vals)
+            for vals in profile(sigma).e_values))
+    return _word_elem(data)
 
 
 def lyndon_census(n: int) -> dict:

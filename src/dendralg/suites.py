@@ -16,7 +16,6 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -39,8 +38,7 @@ RB_THETAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))
 _SEQMAT = STANDARD_SELECTORS[5]
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     """Outcome of one suite on one structure.
 
     status is "fail" exactly when a counterexample is present; checks counts
@@ -56,16 +54,11 @@ class SuiteReport:
     elapsed_ms: int
 
     def to_dict(self) -> dict:
-        out = {
-            "suite": self.suite,
-            "structure": self.structure,
-            "params": {k: _plain(v) for k, v in sorted(self.params.items())},
-            "status": self.status,
-            "checks": self.checks,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        if self.counterexample is not None:
-            out["counterexample"] = self.counterexample
+        """The fields, params made plain; a counterexample only if present."""
+        out = self._asdict()
+        out["params"] = {k: _plain(v) for k, v in sorted(self.params.items())}
+        if self.counterexample is None:
+            del out["counterexample"]
         return out
 
 
@@ -75,8 +68,7 @@ def _plain(v):
     return v
 
 
-@dataclass
-class Options:
+class Options(NamedTuple):
     """Knobs shared by all suites; unset (None) values fall back per suite.
 
     Sizes are taken as given: the command line refuses sizes below 1, and a
@@ -497,9 +489,9 @@ def suite_convolution(options: Options):
             run.equal(f"full right power sum of the letter sum is the word, n={n}",
                       w_right(S, a, n), word)
             for i in range(1, n + 1):
-                expected = Elem.zero(WORD_SORT)
-                for subset in itertools.combinations(range(1, n + 1), i):
-                    expected = expected + hopf.dynkin_word(Word(subset))
+                expected = elem_sum(WORD_SORT, (
+                    hopf.dynkin_word(Word(subset))
+                    for subset in itertools.combinations(range(1, n + 1), i)))
                 run.equal(
                     f"multilinear pre-Lie word = bracketed subsets, n={n}, i={i}",
                     multilinear_part(ell(S, *([a] * i))), expected)

@@ -1,9 +1,13 @@
-"""Docstring examples, the package names that other code looks up, and the
-rule that every memo is local to one call."""
+"""Docstring examples, the package names that other code looks up, the
+modules the command line loads, and the rule that every memo is local to one
+call."""
 
 import ast
 import doctest
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,6 +63,32 @@ def test_the_names_the_benchmark_wraps_exist():
 def test_the_probe_module_imports():
     probes = _load("probes.py")["PROBES"]
     assert "spitzer6_shuffle" in probes
+
+
+_NEW_MODULES_SCRIPT = """
+import sys
+before = set(sys.modules)
+import dendralg.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_the_command_line_loads_no_introspection_modules():
+    """Every request is a fresh process, so each import is paid each time.
+
+    Only the modules that importing the CLI adds are compared, so a site that
+    loads some of these at start-up does not fail the test.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NEW_MODULES_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "dendralg.cli" in added
+    assert not added & HEAVY_MODULES
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dendralg"

@@ -1,5 +1,6 @@
 """Dynkin operator, composition Hopf algebra, and convolution identities."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,12 +13,12 @@ from dendralg import (
     w_right, w_right_from_compositions,
 )
 from dendralg.hopf import (
-    COMP_SORT, comp_dynkin_apply, comp_elem, comp_grading, comp_mul,
-    concat_mul, convolve, counit_unit_endo, dynkin_degree_endo, eval_comp,
-    projection_endo, w_coproduct,
+    COMP_SORT, GradedEndo, comp_dynkin_apply, comp_elem, comp_grading,
+    comp_mul, concat_mul, convolve, counit_unit_endo, dynkin_degree_endo,
+    eval_comp, projection_endo, w_coproduct,
 )
 from dendralg.magnus import power_sum_series, prelie_word_series
-from dendralg.ncalg import WORD_SORT
+from dendralg.ncalg import WORD_SORT, elem_sum
 
 
 def x(*letters):
@@ -62,6 +63,39 @@ class TestDynkinWord:
         assert concat_mul(Elem.unit(WORD_SORT), x(1)) == x(1)
 
 
+def iterated_bracket(letters) -> Elem:
+    """[...[y1,y2],...,yn] rebuilt by n-1 rounds of concat_mul."""
+    acc = x(letters[0])
+    for a in letters[1:]:
+        acc = concat_mul(acc, x(a)) - concat_mul(x(a), acc)
+    return acc
+
+
+def words_over(alphabet, length):
+    return itertools.product(alphabet, repeat=length)
+
+
+class TestDynkinClosedForm:
+    """The closed form against the bracket built by concatenations."""
+
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_every_word_over_three_letters(self, length):
+        # repeated letters make equal words, which must be collected
+        for letters in words_over((1, 2, 3), length):
+            assert dynkin_word(Word(letters)) == iterated_bracket(letters), \
+                letters
+
+    def test_word_element_input(self):
+        e = 2 * x(1, 2, 1) - x(3, 3) + Fraction(1, 2) * x(2, 3, 1, 1)
+        expected = (2 * iterated_bracket((1, 2, 1)) - iterated_bracket((3, 3))
+                    + Fraction(1, 2) * iterated_bracket((2, 3, 1, 1)))
+        assert dynkin_word(e) == expected
+
+    def test_empty_word_still_rejected(self):
+        with pytest.raises(EmptyWord):
+            dynkin_word(Word(()))
+
+
 # ---------------------------------------------------------------------------
 # graded endomorphisms and convolution
 # ---------------------------------------------------------------------------
@@ -92,6 +126,66 @@ class TestConvolution:
         p2 = projection_endo(2)
         assert p2(word(2)) == word(2)
         assert p2(x(1)).is_zero()
+
+
+def full_convolution(f, g):
+    """(f * g)(w) over all 2^n position subsets, ignoring any degree."""
+    def fn(w: Word) -> Elem:
+        n, parts = len(w), []
+        for mask in range(2 ** n):
+            fl = f(Word(w[i] for i in range(n) if mask >> i & 1))
+            if fl:
+                parts.append(concat_mul(
+                    fl, g(Word(w[i] for i in range(n) if not mask >> i & 1))))
+        return elem_sum(WORD_SORT, parts)
+    return fn
+
+
+def _all_dynkin(w: Word) -> Elem:
+    return dynkin_word(w) if len(w) else Elem.zero(WORD_SORT)
+
+
+def _products():
+    """(factors, expected degree) of the convolution products under test."""
+    d, p, eta = dynkin_degree_endo, projection_endo, counit_unit_endo
+    ungraded = GradedEndo("D", _all_dynkin)
+    return [
+        ((d(2), d(1), d(3)), 6),
+        ((p(2), d(2)), 4),
+        ((d(3), p(1), eta()), 4),
+        ((eta(), d(3)), 3),
+        ((p(0), p(4)), 4),
+        ((ungraded, d(2)), None),
+        ((d(2), ungraded), None),
+        ((ungraded, ungraded), None),
+    ]
+
+
+PRODUCTS = _products()
+
+
+class TestDegreeAwareConvolution:
+    """convolve visits only left subsets of the left factor's degree."""
+
+    def test_factories_record_their_degree(self):
+        assert counit_unit_endo().degree == 0
+        assert projection_endo(3).degree == 3
+        assert dynkin_degree_endo(2).degree == 2
+        assert GradedEndo("f", _all_dynkin).degree is None
+
+    @pytest.mark.parametrize("factors, degree", PRODUCTS,
+                             ids=[str(i) for i in range(len(PRODUCTS))])
+    def test_matches_full_enumeration(self, factors, degree):
+        fast, slow = factors[0], factors[0]
+        for g in factors[1:]:
+            fast, slow = convolve(fast, g), full_convolution(slow, g)
+        assert fast.degree == degree
+        for length in range(7):
+            for letters in words_over((1, 2), length):
+                w = Word(letters)
+                assert fast(w) == slow(w), (fast, letters)
+        for n in range(1, 7):
+            assert fast(Word(range(1, n + 1))) == slow(Word(range(1, n + 1)))
 
 
 # ---------------------------------------------------------------------------
