@@ -104,7 +104,7 @@ def dynkin_word(w) -> Elem:
         raise TypeError(f"expected Word or word Elem, got {w!r}")
     if len(w) == 0:
         raise EmptyWord("the Dynkin operator needs at least one letter")
-    return _word_elem(_accumulate({}, _bracket_terms(w.letters)))
+    return _word_elem(_accumulate({}, _bracket_terms(w)))
 
 
 class GradedEndo:
@@ -156,14 +156,12 @@ def convolve(f: GradedEndo, g: GradedEndo) -> GradedEndo:
     subsets of size f.degree are tried when f is homogeneous.
     """
     def fn(w: Word) -> Elem:
-        letters = w.letters
-        n = len(letters)
+        n = len(w)
         parts = []
         for k in range(n + 1) if f.degree is None else (f.degree,):
             for picked in itertools.combinations(range(n), k):
-                left = Word._trusted(tuple(letters[i] for i in picked))
-                right = Word._trusted(tuple(letters[i] for i in range(n)
-                                            if i not in picked))
+                left = Word._trusted(w[i] for i in picked)
+                right = Word._trusted(w[i] for i in range(n) if i not in picked)
                 fl = f(left)
                 if not fl:
                     continue
@@ -231,8 +229,8 @@ def _ordered_partitions(universe: tuple, sizes: tuple):
 # ---------------------------------------------------------------------------
 
 def _check_comp_key(key):
-    if not (isinstance(key, tuple) and all(isinstance(p, int) and p >= 1
-                                           for p in key)):
+    if not (type(key) is tuple and all(isinstance(p, int) and p >= 1
+                                       for p in key)):
         raise SortMismatch(f"not a composition key: {key!r}")
 
 

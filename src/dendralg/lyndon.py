@@ -93,13 +93,12 @@ class Profile(NamedTuple):
 def profile(sigma) -> Profile:
     if not isinstance(sigma, Perm):
         sigma = Perm(sigma)
-    image = sigma.image
-    if not image:
+    if not sigma:
         raise EmptyWord("statistics need a nonempty permutation")
-    n = len(image)
-    e_set, f_set = _e_cuts(image), _f_cuts(image)
+    n = len(sigma)
+    e_set, f_set = _e_cuts(sigma), _f_cuts(sigma)
     e_blocks, f_blocks = _blocks(n, e_set), _blocks(n, f_set)
-    values = lambda blocks: tuple(tuple(image[p - 1] for p in b) for b in blocks)
+    values = lambda blocks: tuple(tuple(sigma[p - 1] for p in b) for b in blocks)
     return Profile(sigma, e_set, f_set, e_blocks, f_blocks,
                    values(e_blocks), values(f_blocks),
                    tuple(len(b) for b in e_blocks))
@@ -110,7 +109,7 @@ def omega_conjugate(sigma) -> Perm:
     if not isinstance(sigma, Perm):
         sigma = Perm(sigma)
     n = sigma.n
-    return Perm._trusted(tuple(n + 1 - v for v in reversed(sigma.image)))
+    return Perm._trusted(n + 1 - v for v in reversed(sigma))
 
 
 def t_sigma(S: DendriformStructure, sigma, args) -> Elem:
@@ -315,16 +314,15 @@ def lyn_set(beta) -> list:
     """
     if not isinstance(beta, Perm):
         beta = Perm(beta)
-    relabel = beta.image
     out = []
     for image in itertools.permutations(range(1, beta.n + 1)):
         best = last = 0
         for v in image:
             if v > best:        # a running maximum starts a new E-block
                 best = v
-            elif relabel[v - 1] <= last:
+            elif beta[v - 1] <= last:
                 break
-            last = relabel[v - 1]
+            last = beta[v - 1]
         else:
             out.append(Perm._trusted(image))
     return out
@@ -340,11 +338,10 @@ def pbw_expansion(beta) -> Elem:
     """
     if not isinstance(beta, Perm):
         beta = Perm(beta)
-    relabel = beta.image
     data: dict = {}
     for sigma in lyn_set(beta):
         _accumulate(data, _bracket_product(
-            tuple(relabel[v - 1] for v in vals)
+            tuple(beta[v - 1] for v in vals)
             for vals in profile(sigma).e_values))
     return _word_elem(data)
 

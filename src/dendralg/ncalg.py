@@ -19,16 +19,21 @@ that form: one multiply per group rather than per term.  Validation
 (that every key belongs to the sort, that every coefficient is an exact
 scalar) happens only in the public constructor `Elem(sort, terms)`, where
 outside data comes in.  Keys follow the same rule: `Word(...)` and
-`Perm(...)` check their letters, while `Word._trusted` and `Perm._trusted`
-take a tuple that the calling code builds valid by construction.  Each key
-keeps the hash of its tuple, so dict operations on keys cost one slot read.
+`Perm(...)` check their letters, while `Word._trusted` and `Perm._trusted`,
+each a bare `tuple.__new__`, take data that the calling code builds valid
+by construction.
+
+A `Word` or a `Perm` is a `tuple` subclass with no slots of its own, so it
+stores no hash and dicts hash and compare it in C.  A word thus equals a
+permutation or a plain tuple with the same entries; sorts keep them apart,
+as `Elem(sort, terms)` and `Elem.coeff` check every key with `sort.check`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import (
     EmptyWord,
@@ -56,8 +61,30 @@ def as_scalar(c) -> Scalar:
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
-class Word:
+class _LengthLex(tuple):
+    """A tuple ordered length-lexicographically: shorter first, then entry
+    by entry.  Only < and > are defined; <= and >= raise TypeError.
+    Subclasses check their entries in __init__, after tuple.__new__ has
+    taken them into self."""
+
+    __slots__ = ()
+
+    def __lt__(self, other) -> bool:
+        return (len(self), *self) < (len(other), *other)
+
+    def __gt__(self, other) -> bool:
+        return (len(self), *self) > (len(other), *other)
+
+    def __le__(self, other):
+        return NotImplemented
+
+    __ge__ = __le__
+
+
+class Word(_LengthLex):
     """A word over the positive-integer alphabet; letter i renders as xi.
+
+    The word is the tuple of its letters.
 
     >>> str(Word((1, 2, 1)))
     'x1.x2.x1'
@@ -67,60 +94,27 @@ class Word:
     [Word((1,)), Word((2,)), Word((1, 1))]
     """
 
-    __slots__ = ("letters", "_hash")
+    __slots__ = ()
+    _trusted = classmethod(tuple.__new__)  # the letters taken unchecked
+    letters = property(tuple)
 
     def __init__(self, letters: Iterable[int]):
-        letters = tuple(letters)
-        for a in letters:
+        for a in self:
             if not isinstance(a, int) or a < 1:
                 raise ValueError(f"letters must be positive integers, got {a!r}")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "_hash", hash(letters))
-
-    @classmethod
-    def _trusted(cls, letters: tuple) -> "Word":
-        """The word on a tuple of positive ints, taken without checking it."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "letters", letters)
-        object.__setattr__(out, "_hash", hash(letters))
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Word is immutable")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def __getitem__(self, i):
-        return self.letters[i]
 
     def __add__(self, other: "Word") -> "Word":
-        return Word._trusted(self.letters + other.letters)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Word") -> bool:
-        # length-lex: shorter first, then lexicographic
-        return (len(self.letters), self.letters) < (len(other.letters), other.letters)
+        return Word._trusted(tuple.__add__(self, other))
 
     def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        return ".".join(f"x{a}" for a in self.letters)
+        return ".".join(f"x{a}" for a in self) if self else "1"
 
     def __repr__(self) -> str:
-        return f"Word({self.letters!r})"
+        return f"Word({tuple(self)!r})"
 
 
-class Perm:
-    """A permutation of {1..n} in one-line notation.
+class Perm(_LengthLex):
+    """A permutation of {1..n}: the tuple of its one-line notation.
 
     >>> Perm((3, 1, 2)).inverse()
     Perm((2, 3, 1))
@@ -128,70 +122,41 @@ class Perm:
     3
     """
 
-    __slots__ = ("image", "_hash")
+    __slots__ = ()
+    _trusted = classmethod(tuple.__new__)  # the image taken unchecked
+    image = property(tuple)
+    n = property(len)
 
     def __init__(self, image: Iterable[int]):
-        image = tuple(image)
-        n = len(image)
-        if sorted(image) != list(range(1, n + 1)):
-            raise InvalidPermutation(f"not one-line data for S_{n}: {image}")
-        object.__setattr__(self, "image", image)
-        object.__setattr__(self, "_hash", hash(image))
-
-    @classmethod
-    def _trusted(cls, image: tuple) -> "Perm":
-        """The permutation with one-line tuple image, taken without checking it."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "image", image)
-        object.__setattr__(out, "_hash", hash(image))
-        return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
-
-    @property
-    def n(self) -> int:
-        return len(self.image)
-
-    def __len__(self) -> int:
-        return len(self.image)
+        n = len(self)
+        if sorted(self) != list(range(1, n + 1)):
+            raise InvalidPermutation(f"not one-line data for S_{n}: {tuple(self)}")
 
     def __call__(self, i: int) -> int:
-        if not 1 <= i <= len(self.image):
-            raise IndexError(f"{i} is outside 1..{len(self.image)}")
-        return self.image[i - 1]
+        if not 1 <= i <= len(self):
+            raise IndexError(f"{i} is outside 1..{len(self)}")
+        return self[i - 1]
 
     def inverse(self) -> "Perm":
-        inv = [0] * len(self.image)
-        for i, v in enumerate(self.image, start=1):
+        inv = [0] * len(self)
+        for i, v in enumerate(self, start=1):
             inv[v - 1] = i
-        return Perm._trusted(tuple(inv))
+        return Perm._trusted(inv)
 
     def compose(self, other: "Perm") -> "Perm":
         """self after other: (self.compose(other))(i) = self(other(i))."""
-        if len(self.image) != len(other.image):
+        if len(self) != len(other):
             raise InvalidPermutation("can only compose permutations of equal size")
-        return Perm._trusted(tuple(self.image[v - 1] for v in other.image))
+        return Perm._trusted([self[v - 1] for v in other])
 
     def as_word(self) -> Word:
-        return Word._trusted(self.image)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.image == other.image
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Perm") -> bool:
-        return (len(self.image), self.image) < (len(other.image), other.image)
+        return Word._trusted(self)
 
     def __str__(self) -> str:
-        if not self.image:
-            return "1"
-        return "p" + ".".join(str(v) for v in self.image)
+        return "p" + ".".join(str(v) for v in self) if self else "1"
 
     def __repr__(self) -> str:
-        return f"Perm({self.image!r})"
+        return f"Perm({tuple(self)!r})"
 
 
 class BasisSort:
@@ -199,17 +164,18 @@ class BasisSort:
 
     Elements over different sorts never mix; the sort is compared by name so a
     parameterized sort built twice with the same parameters is the same sort.
+    check(key) raises SortMismatch unless key is a key of the sort.
     """
 
     __slots__ = ("name", "unit_key", "skey", "show", "check")
 
     def __init__(self, name: str, unit_key, skey: Callable, show: Callable,
-                 check: Callable | None = None):
+                 check: Callable):
         self.name = name
         self.unit_key = unit_key
         self.skey = skey
         self.show = show
-        self.check = check or (lambda key: None)
+        self.check = check
 
     def order_key(self, key):
         if key == self.unit_key:
@@ -234,7 +200,7 @@ class BasisSort:
 WORD_SORT = BasisSort(
     "word",
     Word(()),
-    skey=lambda w: (len(w.letters), w.letters),
+    skey=lambda w: (len(w), *w),
     show=str,
     check=lambda w: None if isinstance(w, Word) else _bad_key("word", w),
 )
@@ -242,7 +208,7 @@ WORD_SORT = BasisSort(
 PERM_SORT = BasisSort(
     "perm",
     Perm(()),
-    skey=lambda p: (len(p.image), p.image),
+    skey=lambda p: (len(p), *p),
     show=str,
     check=lambda p: None if isinstance(p, Perm) else _bad_key("perm", p),
 )
@@ -372,6 +338,8 @@ class Elem:
         return cls(sort, [(sort.unit_key, 1)])
 
     def coeff(self, key) -> Scalar:
+        """The coefficient of key; a key of another sort raises SortMismatch."""
+        self.sort.check(key)
         return self._terms.get(key, 0)
 
     @property
@@ -539,7 +507,7 @@ def multilinear_part(e: Elem) -> Elem:
     """Keep only words in which no letter repeats (the multilinear span)."""
     if e.sort != WORD_SORT:
         raise SortMismatch("multilinear_part expects a word element")
-    kept = {w: c for w, c in e._terms.items() if len(set(w.letters)) == len(w)}
+    kept = {w: c for w, c in e._terms.items() if len(set(w)) == len(w)}
     return Elem._trusted(WORD_SORT, kept)
 
 

@@ -25,6 +25,7 @@ backend, and the operator rule is re-checked on sample pairs at construction.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -113,12 +114,10 @@ class ShuffleStructure(_WordStructure):
     name = "shuffle"
 
     def basis_left(self, w1: Word, w2: Word) -> Elem:
-        u, v = w1.letters, w2.letters
-        return _words(_half_shuffle(u[:1], u[1:], v, {}))
+        return _words(_half_shuffle(w1[:1], w1[1:], w2, {}))
 
     def basis_right(self, w1: Word, w2: Word) -> Elem:
-        u, v = w1.letters, w2.letters
-        return _words(_half_shuffle(v[:1], u, v[1:], {}))
+        return _words(_half_shuffle(w2[:1], w1, w2[1:], {}))
 
 
 class MaxStructure(_WordStructure):
@@ -141,8 +140,7 @@ class MaxStructure(_WordStructure):
         return self.elem(Word((1,))) + self.elem(Word((2,)))
 
     def _top(self, w: Word) -> int:
-        ranks = w.letters if self.order == "increasing" else tuple(-a for a in w.letters)
-        return max(ranks)
+        return max(w) if self.order == "increasing" else -min(w)
 
     def basis_left(self, w1: Word, w2: Word) -> Elem:
         if self._top(w1) >= self._top(w2):
@@ -171,12 +169,12 @@ class MRStructure(DendriformStructure):
     sort = PERM_SORT
 
     def basis_left(self, p: Perm, q: Perm) -> Elem:
-        u, v = p.image, tuple(x + len(p) for x in q.image)
-        return _perms(_half_shuffle(u[:1], u[1:], v, {}))
+        v = tuple(x + len(p) for x in q)
+        return _perms(_half_shuffle(p[:1], p[1:], v, {}))
 
     def basis_right(self, p: Perm, q: Perm) -> Elem:
-        u, v = p.image, tuple(x + len(p) for x in q.image)
-        return _perms(_half_shuffle(v[:1], u, v[1:], {}))
+        v = tuple(x + len(p) for x in q)
+        return _perms(_half_shuffle(v[:1], p, v[1:], {}))
 
     def degree(self, key: Perm) -> int:
         return len(key)
@@ -224,7 +222,7 @@ class Tree:
         return isinstance(other, Tree) and self.code == other.code
 
     def __hash__(self) -> int:
-        return hash(("Tree",) + self.code)
+        return hash(self.code)
 
     def __lt__(self, other: "Tree") -> bool:
         return (self.deg, self.code) < (other.deg, other.code)
@@ -315,6 +313,23 @@ class FreeStructure(DendriformStructure):
 ADJOINED_UNIT = ()
 
 
+def _carrier_check(name: str, b0, b1, b2):
+    """The key check of an operator carrier: the unit, or a triple of ints
+    whose entries lie within b0, b1 and b2, inclusive (low, high) pairs.
+
+    Unrolled, as every element built over the carrier runs it."""
+    (lo0, hi0), (lo1, hi1), (lo2, hi2) = b0, b1, b2
+
+    def check(key):
+        if type(key) is not tuple or key and not (
+                len(key) == 3
+                and type(key[0]) is int and lo0 <= key[0] <= hi0
+                and type(key[1]) is int and lo1 <= key[1] <= hi1
+                and type(key[2]) is int and lo2 <= key[2] <= hi2):
+            _bad_key(name, key)
+    return check
+
+
 class SeqMatBackend:
     """Functions {1..N} -> k x k rational matrices, pointwise product.
 
@@ -328,11 +343,13 @@ class SeqMatBackend:
         self.N = int(N)
         if self.k < 1 or self.N < 1:
             raise ValueError("need k >= 1 and N >= 1")
+        name = f"seqmat[k={self.k},N={self.N}]"
         self.sort = BasisSort(
-            f"seqmat[k={self.k},N={self.N}]",
+            name,
             ADJOINED_UNIT,
             skey=lambda key: key,
             show=lambda key: f"E{key[0]}[{key[1]},{key[2]}]",
+            check=_carrier_check(name, (1, self.N), (1, self.k), (1, self.k)),
         )
 
     def keys(self, max_degree: int):
@@ -369,12 +386,14 @@ class PolyMatBackend:
         self.k = int(k)
         if self.k < 1:
             raise ValueError("need k >= 1")
+        name = f"polymat[k={self.k}]"
         self.sort = BasisSort(
-            f"polymat[k={self.k}]",
+            name,
             ADJOINED_UNIT,
             skey=lambda key: (key[2], key[0], key[1]),
             show=lambda key: (f"E[{key[0]},{key[1]}]" if key[2] == 0
                               else f"x^{key[2]}E[{key[0]},{key[1]}]"),
+            check=_carrier_check(name, (1, self.k), (1, self.k), (0, math.inf)),
         )
 
     def keys(self, max_degree: int):

@@ -6,6 +6,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from dendralg import (
     bernoulli_numbers, from_selector, magnus_omega, opposite, random_element,
     series_mul,
 )
-from dendralg.ncalg import WORD_SORT, linear_combination
+from dendralg.errors import SortMismatch
+from dendralg.ncalg import PERM_SORT, WORD_SORT, linear_combination
 from dendralg.magnus import prelie_word_series
 from dendralg.structures import FreeStructure, MRStructure
 
@@ -154,13 +156,21 @@ def test_absent_coefficients_are_the_int_zero():
     assert type(e.unit_coeff) is int and e.unit_coeff == 0
 
 
-def test_keys_of_different_types_stay_distinct_under_equal_hashes():
-    """A key hashes as its tuple, and its equality still checks its type."""
+def test_sorts_keep_equal_tuple_keys_apart():
+    """A key is the tuple of its entries, so a word and a permutation on
+    the same tuple are equal keys; their sorts keep the elements apart."""
+    assert Word((1,)) == Perm((1,)) == (1,)
     assert hash(Word((1,))) == hash(Perm((1,))) == hash((1,))
-    assert Word((1,)) != Perm((1,)) and Perm((1,)) != Word((1,))
-    assert Word(()) != () and () != Word(())
-    assert Word((1,)) != (1,)
-    assert len({Word((1,)), Perm((1,)), (1,), Word(()), Perm(()), ()}) == 6
+    word = Elem(WORD_SORT, [(Word((1,)), 1)])
+    perm = Elem(PERM_SORT, [(Perm((1,)), 1)])
+    assert word != perm and perm != word
+    assert word.coeff(Word((1,))) == 1 and perm.coeff(Perm((1,))) == 1
+    with pytest.raises(SortMismatch):
+        word.coeff(Perm((1,)))
+    with pytest.raises(SortMismatch):
+        perm.coeff(Word((1,)))
+    with pytest.raises(SortMismatch):
+        Elem(WORD_SORT, [((1,), 1)])
 
 
 def test_trusted_keys_equal_validated_ones():
@@ -168,6 +178,29 @@ def test_trusted_keys_equal_validated_ones():
     assert hash(Word._trusted((2, 1))) == hash(Word((2, 1)))
     assert Perm._trusted((2, 1)) == Perm((2, 1))
     assert hash(Perm._trusted((2, 1))) == hash(Perm((2, 1)))
+
+
+def test_a_key_costs_what_its_tuple_costs():
+    for t in ((), (1,), (2, 1, 3)):
+        assert sys.getsizeof(Word(t)) == sys.getsizeof(t)
+        assert sys.getsizeof(Perm(t)) == sys.getsizeof(t)
+    for cls in (Word, Perm):
+        assert "__hash__" not in vars(cls) and "__eq__" not in vars(cls)
+        assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__
+
+
+def test_keys_are_ordered_length_lex_both_ways():
+    words = [Word(t) for n in range(4) for t in itertools.product((1, 2), repeat=n)]
+    perms = [Perm(t) for n in range(4)
+             for t in itertools.permutations(range(1, n + 1))]
+    for keys in (words, perms):
+        for a, b in itertools.product(keys, repeat=2):
+            length_lex = (len(a), tuple(a)) < (len(b), tuple(b))
+            assert (a < b) == (b > a) == length_lex
+        with pytest.raises(TypeError):
+            keys[1] <= keys[2]
+        with pytest.raises(TypeError):
+            keys[1] >= keys[2]
 
 
 @settings(max_examples=25, deadline=None)
@@ -279,10 +312,6 @@ class CountingBasisFree(CountingBasis, FreeStructure):
     pass
 
 
-class WeakPerm(Perm):
-    __slots__ = ("__weakref__",)
-
-
 @pytest.mark.parametrize("cls", [CountingBasisMR, CountingBasisFree])
 def test_repeated_products_read_the_tables(cls):
     S = cls()
@@ -305,21 +334,21 @@ def test_repeated_products_read_the_tables(cls):
 
 def test_tables_belong_to_their_structure():
     a, b = CountingBasisMR(), CountingBasisMR()
-    key = WeakPerm((2, 1))
+    key = Perm((2, 1))
+    unheld = sys.getrefcount(key)
     a.star(a.elem(key), a.elem(key))
     assert a.basis_calls == 2 and b.basis_calls == 0
     assert not b._left_table and not b._right_table
     b.star(b.elem(key), b.elem(key))
     assert b.basis_calls == 2
     del b
-    key_ref, a_ref = weakref.ref(key), weakref.ref(a)
-    del key
+    a_ref = weakref.ref(a)
     gc.disable()
     try:
-        assert key_ref() is not None  # a's tables still hold the key pair
+        assert sys.getrefcount(key) > unheld  # a's tables still hold the key pair
         del a
         # freed by reference counting alone: no cycle keeps the tables alive
-        assert a_ref() is None and key_ref() is None
+        assert a_ref() is None and sys.getrefcount(key) == unheld
     finally:
         gc.enable()
 

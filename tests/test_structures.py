@@ -17,6 +17,7 @@ from dendralg import (
     STANDARD_SELECTORS, Word, from_selector, random_element,
     rb_polymat_structure, rb_seqmat_structure,
 )
+from dendralg.errors import SortMismatch
 from dendralg.ncalg import PERM_SORT, WORD_SORT
 from dendralg.structures import (
     LEAF, SeqMatBackend, Tree, _sample_pairs, enumerate_trees,
@@ -177,6 +178,50 @@ class TestMR:
                                                left_ref.get((p, q), {}))
                 assert mr.right(ep, eq) == Elem(PERM_SORT,
                                                 right_ref.get((p, q), {}))
+
+    @pytest.mark.parametrize("K", [3, 5])
+    def test_free_quasi_symmetric_realization_into_max_rev(self, mr, K):
+        """phi(p < q) = phi(p) < phi(q) and likewise for >, into max-rev.
+
+        phi(sigma) sums the words w over {1..K} whose standardization is
+        sigma^-1, the free quasi-symmetric realization (Duchamp, Hivert and
+        Thibon, IJAC 12, 2002); std ranks the smallest letters first and
+        breaks ties left to right.  phi uses no product, so it checks mr
+        against max-rev on every pair of permutations of degree <= 3.
+        Sending sigma to the words of std sigma, or taking the increasing
+        letter order, breaks the identity.
+        """
+        def std(letters):
+            out = [0] * len(letters)
+            ranked = sorted(range(len(letters)), key=lambda i: (letters[i], i))
+            for rank, i in enumerate(ranked, start=1):
+                out[i] = rank
+            return Perm(out)
+
+        fibres = {}
+        for n in range(1, 7):
+            for letters in itertools.product(range(1, K + 1), repeat=n):
+                fibres.setdefault(std(letters), []).append(Word(letters))
+        perms = [Perm(image) for n in range(1, 4)
+                 for image in itertools.permutations(range(1, n + 1))]
+        pairs = list(itertools.product(perms, repeat=2))
+        assert len(pairs) == 81
+
+        def mismatches(S, fibre_of):
+            def phi(e):
+                return Elem(WORD_SORT, [(w, c) for sigma, c in e.items()
+                                        for w in fibres.get(fibre_of(sigma), ())])
+            bad = 0
+            for p, q in pairs:
+                a, b = mr.elem(p), mr.elem(q)
+                bad += phi(mr.left(a, b)) != S.left(phi(a), phi(b))
+                bad += phi(mr.right(a, b)) != S.right(phi(a), phi(b))
+            return bad
+
+        max_rev, max_inc = MaxStructure(K, "decreasing"), MaxStructure(K)
+        assert mismatches(max_rev, Perm.inverse) == 0
+        assert mismatches(max_rev, lambda sigma: sigma) == {3: 141, 5: 149}[K]
+        assert mismatches(max_inc, Perm.inverse) == {3: 144, 5: 162}[K]
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +411,31 @@ def test_weight_rule_on_every_key_pair(S):
         inner = S.carrier_mul(S.R(a), b) + S.carrier_mul(a, S.R(b)) \
             + S.carrier_mul(a, b).scale(S.theta)
         assert S.carrier_mul(S.R(a), S.R(b)) == S.R(inner)
+
+
+@pytest.mark.parametrize("selector,good,bad", [
+    ("rb-seqmat:theta=1,k=2,N=4",
+     [(), (1, 1, 1), (4, 2, 2), (2, 1, 2)],
+     [(0, 1, 1), (5, 1, 1), (7, 1, 1), (1, 3, 1), (1, 1, 0), (1, 1),
+      (1, 1, 1, 1), ("a", "b", "c"), (1.0, 1, 1), (True, 1, 1),
+      Word((1, 1, 1)), [1, 1, 1]]),
+    ("rb-polymat:k=2",
+     [(), (1, 1, 0), (2, 1, 7), (1, 2, 30)],
+     [(9, 9, 0), (3, 1, 0), (1, 0, 0), (1, 1, -1), (1, 1), (1, 1, 0, 0),
+      ("a", "b", "c"), (1, 1, 0.0), (1, 1, Fraction(1)), Word((1, 1, 1))]),
+], ids=["rb-seqmat", "rb-polymat"])
+def test_operator_carriers_check_their_keys(selector, good, bad):
+    """In-range keys and the unit are accepted; a position or index out of
+    range, a negative degree, a wrong length or a non-int entry is not."""
+    S = from_selector(selector)
+    for key in good:
+        assert Elem(S.sort, [(key, 1)]) == S.elem(key)
+        assert S.elem(key).coeff(key) == 1
+    for key in bad:
+        with pytest.raises(SortMismatch):
+            Elem(S.sort, [(key, 1)])
+        with pytest.raises(SortMismatch):
+            S.elem(key)
 
 
 class _InclusiveSums(SeqMatBackend):
