@@ -18,7 +18,8 @@ coefficient (`_group_terms`), and `_accumulate_groups` is the same add for
 that form: one multiply per group rather than per term.  Validation
 (that every key belongs to the sort, that every coefficient is an exact
 scalar) happens only in the public constructor `Elem(sort, terms)`, where
-outside data comes in.  Keys follow the same rule: `Word(...)` and
+outside data comes in; it checks each term and then adds and normalizes
+through the same two steps.  Keys follow the same rule: `Word(...)` and
 `Perm(...)` check their letters, while `Word._trusted` and `Perm._trusted`,
 each a bare `tuple.__new__`, take data that the calling code builds valid
 by construction.
@@ -246,6 +247,18 @@ def _accumulate(data: dict, terms, c=1) -> dict:
     return data
 
 
+def _normalized(data: dict) -> dict:
+    """Drop the zeros of a dict filled by `_accumulate` and turn each
+    integral Fraction into its int, in place; returns data."""
+    for key, c in [(key, c) for key, c in data.items()
+                   if not c or type(c) is Fraction and c.denominator == 1]:
+        if c:
+            data[key] = c.numerator
+        else:
+            del data[key]
+    return data
+
+
 def _group_terms(terms: dict) -> tuple:
     """The terms of a key -> coefficient dict grouped by coefficient.
 
@@ -287,21 +300,14 @@ class Elem:
     __slots__ = ("sort", "_terms")
 
     def __init__(self, sort: BasisSort, terms=()):
-        data = {}
         items = terms.items() if isinstance(terms, dict) else terms
+        checked = []
         for key, c in items:
             c = as_scalar(c)
             sort.check(key)
-            if not c:
-                continue
-            c0 = data.get(key)
-            c = c if c0 is None else as_scalar(c0 + c)
-            if c:
-                data[key] = c
-            elif key in data:
-                del data[key]
+            checked.append((key, c))
         object.__setattr__(self, "sort", sort)
-        object.__setattr__(self, "_terms", data)
+        object.__setattr__(self, "_terms", _normalized(_accumulate({}, checked)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Elem is immutable; build a new one")
@@ -310,19 +316,14 @@ class Elem:
     def _trusted(cls, sort: BasisSort, data: dict) -> "Elem":
         """Wrap a dict filled by `_accumulate`, normalizing it in place.
 
-        One pass drops the zeros and turns each integral Fraction into its
-        int.  The dict is taken over, not copied, and its keys are not
-        validated again.
+        `_normalized` drops the zeros and turns each integral Fraction into
+        its int.  The dict is taken over, not copied, and its keys are not
+        validated again; the public constructor checks each term and then
+        takes the same two steps.
         """
-        for key, c in [(key, c) for key, c in data.items()
-                       if not c or type(c) is Fraction and c.denominator == 1]:
-            if c:
-                data[key] = c.numerator
-            else:
-                del data[key]
         out = cls.__new__(cls)
         object.__setattr__(out, "sort", sort)
-        object.__setattr__(out, "_terms", data)
+        object.__setattr__(out, "_terms", _normalized(data))
         return out
 
     @classmethod

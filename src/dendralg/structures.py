@@ -56,23 +56,25 @@ def _letters(alphabet) -> tuple:
 # words: half-shuffles
 # ---------------------------------------------------------------------------
 
-def _shuffle(u: tuple, v: tuple) -> dict:
-    """Every interleaving of the letter tuples u and v -> its multiplicity."""
-    if not u or not v:
-        return {u + v: 1}
-    out = _half_shuffle(u[:1], u[1:], v, {})
-    return _half_shuffle(v[:1], u, v[1:], out)
+def _half_shuffle(u: tuple, v: tuple, left: bool) -> dict:
+    """The interleavings of the letter tuples u and v whose first letter
+    comes from u (left, u < v) or from v (u > v) -> their multiplicities.
 
-
-def _half_shuffle(head: tuple, u: tuple, v: tuple, out: dict) -> dict:
-    """Add head followed by each interleaving of u and v into out.
-
-    u < v is _half_shuffle(u[:1], u[1:], v, {}) and u > v is
-    _half_shuffle(v[:1], u, v[1:], {}): the first letter comes from u or v.
+    With the first letter set aside, each choice of slots for the letters
+    left in u, among the slots after the first, is one interleaving; equal
+    words from different choices are counted.
     """
-    for w, c in _shuffle(u, v).items():
-        w = head + w
-        out[w] = out.get(w, 0) + c
+    if left:
+        head, u = u[:1], u[1:]
+    else:
+        head, v = v[:1], v[1:]
+    out = {}
+    for positions in itertools.combinations(range(len(u) + len(v)), len(u)):
+        letters = list(v)
+        for i, x in zip(positions, u):
+            letters.insert(i, x)
+        w = head + tuple(letters)
+        out[w] = out.get(w, 0) + 1
     return out
 
 
@@ -114,10 +116,10 @@ class ShuffleStructure(_WordStructure):
     name = "shuffle"
 
     def basis_left(self, w1: Word, w2: Word) -> Elem:
-        return _words(_half_shuffle(w1[:1], w1[1:], w2, {}))
+        return _words(_half_shuffle(w1, w2, True))
 
     def basis_right(self, w1: Word, w2: Word) -> Elem:
-        return _words(_half_shuffle(w2[:1], w1, w2[1:], {}))
+        return _words(_half_shuffle(w1, w2, False))
 
 
 class MaxStructure(_WordStructure):
@@ -170,11 +172,11 @@ class MRStructure(DendriformStructure):
 
     def basis_left(self, p: Perm, q: Perm) -> Elem:
         v = tuple(x + len(p) for x in q)
-        return _perms(_half_shuffle(p[:1], p[1:], v, {}))
+        return _perms(_half_shuffle(p, v, True))
 
     def basis_right(self, p: Perm, q: Perm) -> Elem:
         v = tuple(x + len(p) for x in q)
-        return _perms(_half_shuffle(v[:1], p, v[1:], {}))
+        return _perms(_half_shuffle(p, v, False))
 
     def degree(self, key: Perm) -> int:
         return len(key)
@@ -460,14 +462,16 @@ class RBStructure(DendriformStructure):
         return x.scale(-self.theta) - self.R(x)
 
     def basis_left(self, k1, k2) -> Elem:
-        x, y = self.elem(k1), self.elem(k2)
+        x = Elem._trusted(self.sort, {k1: 1})
+        y = Elem._trusted(self.sort, {k2: 1})
         out = self.carrier_mul(x, self.R(y))
         if self.variant == "plain" and self.theta:
             out = out + self.carrier_mul(x, y).scale(self.theta)
         return out
 
     def basis_right(self, k1, k2) -> Elem:
-        x, y = self.elem(k1), self.elem(k2)
+        x = Elem._trusted(self.sort, {k1: 1})
+        y = Elem._trusted(self.sort, {k2: 1})
         out = self.carrier_mul(self.R(x), y)
         if self.variant == "primed" and self.theta:
             out = out + self.carrier_mul(x, y).scale(self.theta)
@@ -494,7 +498,8 @@ class RBStructure(DendriformStructure):
     def _weight_check(self, sample: int = 64):
         keys = list(self.basis_keys(2))
         for ka, kb in _sample_pairs(keys, sample, random.Random(0)):
-            a, b = self.elem(ka), self.elem(kb)
+            a = Elem._trusted(self.sort, {ka: 1})
+            b = Elem._trusted(self.sort, {kb: 1})
             lhs = self.carrier_mul(self.R(a), self.R(b))
             inner = self.carrier_mul(self.R(a), b) + self.carrier_mul(a, self.R(b)) \
                 + self.carrier_mul(a, b).scale(self.theta)

@@ -6,6 +6,10 @@ verified equalities or fails carrying the first counterexample, rendered
 with both sides and their difference.  All arithmetic is exact, so there are
 no tolerances anywhere: a suite passes only on equality on the nose.
 
+A suite is its check body plus one call to `_reports`.  Every report is
+made by `_report`: it opens a `_Run`, which starts the clock, builds the
+report's structure once if it has one, runs the body and closes the run.
+
 Random elements are drawn from a PRNG seeded through the options, so two
 runs with the same seed compare byte-for-byte (timings aside).
 """
@@ -21,8 +25,7 @@ from typing import NamedTuple
 
 from . import hopf, lyndon, magnus
 from .dendriform import (
-    DendriformStructure, ell, lie_bracket, prelie_left, prelie_right,
-    w_left, w_right,
+    ell, lie_bracket, prelie_left, prelie_right, w_left, w_right,
 )
 from .errors import AxiomCheckFailure
 from .ncalg import Elem, Series, Word, WORD_SORT, elem_sum, multilinear_part
@@ -54,18 +57,12 @@ class SuiteReport(NamedTuple):
     elapsed_ms: int
 
     def to_dict(self) -> dict:
-        """The fields, params made plain; a counterexample only if present."""
+        """The fields, params sorted; a counterexample only if present."""
         out = self._asdict()
-        out["params"] = {k: _plain(v) for k, v in sorted(self.params.items())}
+        out["params"] = dict(sorted(self.params.items()))
         if self.counterexample is None:
             del out["counterexample"]
         return out
-
-
-def _plain(v):
-    if isinstance(v, Fraction):
-        return str(v) if v.denominator != 1 else str(v.numerator)
-    return v
 
 
 class Options(NamedTuple):
@@ -163,8 +160,29 @@ def _selectors(options: Options, default: tuple,
     return tuple("rb-seqmat" if s == _SEQMAT else s for s in default)
 
 
-def _build(selector: str, options: Options) -> DendriformStructure:
-    return from_selector(selector, theta=options.theta)
+def _reports(suite: str, options: Options, params: dict | None = None,
+             selectors: tuple = (), body=None, free: tuple = ()):
+    """One zero-argument report maker per report of a suite, in order.
+
+    First one per (label, params, check) of free, which runs check(run);
+    then one per selector, which runs body(run, S) on its structure S.
+    """
+    for label, free_params, check in free:
+        yield functools.partial(_report, suite, label, free_params, check)
+    for sel in selectors:
+        yield functools.partial(_report, suite, sel, params, body, sel,
+                                options.theta)
+
+
+def _report(suite: str, label: str, params: dict, check,
+            selector: str | None = None, theta=None) -> SuiteReport:
+    """Open one report, build its structure if it has one, check, close."""
+    run = _Run(suite, label, params)
+    if selector is None:
+        check(run)
+    else:
+        check(run, from_selector(selector, theta=theta))
+    return run.report()
 
 
 # ---------------------------------------------------------------------------
@@ -176,62 +194,59 @@ GRADED_SELECTORS = ("shuffle", "max", "max-rev", "mr", "free")
 
 def suite_axioms(options: Options):
     degree = _given(options.degree, 5)
-    for sel in _selectors(options, GRADED_SELECTORS, theta_sweep=True):
-        def thunk(sel=sel):
-            run = _Run("axioms", sel, {"degree": degree})
-            S = _build(sel, options)
-            try:
-                triples = S.self_test(degree)
-                run.checks = 3 * triples
-            except AxiomCheckFailure as exc:
-                run.counterexample = {
-                    "check": f"{exc.axiom} on keys {exc.keys}",
-                    "lhs": exc.lhs,
-                    "rhs": exc.rhs,
-                    "difference": "",
-                }
-            return run.report()
-        yield thunk
+
+    def body(run, S):
+        try:
+            triples = S.self_test(degree)
+            run.checks = 3 * triples
+        except AxiomCheckFailure as exc:
+            run.counterexample = {
+                "check": f"{exc.axiom} on keys {exc.keys}",
+                "lhs": exc.lhs,
+                "rhs": exc.rhs,
+                "difference": "",
+            }
+
+    return _reports("axioms", options, {"degree": degree},
+                    _selectors(options, GRADED_SELECTORS, theta_sweep=True), body)
 
 
 def suite_prelie_laws(options: Options):
     degree = _given(options.degree, 3)
     trials = 3
-    for sel in _selectors(options, GRADED_SELECTORS, theta_sweep=True):
-        def thunk(sel=sel):
-            run = _Run("prelie-laws", sel,
-                       {"degree": degree, "seed": options.seed, "trials": trials})
-            S = _build(sel, options)
-            rng = random.Random(options.seed)
-            for _ in range(trials):
-                a, b, c = (random_element(S, rng, max_degree=degree, nterms=3)
-                           for _ in range(3))
-                la = prelie_left(S, prelie_left(S, a, b), c) \
-                    - prelie_left(S, a, prelie_left(S, b, c))
-                lb = prelie_left(S, prelie_left(S, b, a), c) \
-                    - prelie_left(S, b, prelie_left(S, a, c))
-                run.equal("left pre-Lie associator symmetric in first two", la, lb)
-                ra = prelie_right(S, prelie_right(S, a, b), c) \
-                    - prelie_right(S, a, prelie_right(S, b, c))
-                rb = prelie_right(S, prelie_right(S, a, c), b) \
-                    - prelie_right(S, a, prelie_right(S, c, b))
-                run.equal("right pre-Lie associator symmetric in last two", ra, rb)
-                run.equal("right product is the negated flipped left product",
-                          prelie_right(S, a, b), -prelie_left(S, b, a))
-                bracket = S.star(a, b) - S.star(b, a)
-                run.equal("bracket = antisymmetrized left product",
-                          bracket, prelie_left(S, a, b) - prelie_left(S, b, a))
-                run.equal("bracket = antisymmetrized right product",
-                          bracket, prelie_right(S, a, b) - prelie_right(S, b, a))
-            return run.report()
-        yield thunk
+
+    def body(run, S):
+        rng = random.Random(options.seed)
+        for _ in range(trials):
+            a, b, c = (random_element(S, rng, max_degree=degree, nterms=3)
+                       for _ in range(3))
+            la = prelie_left(S, prelie_left(S, a, b), c) \
+                - prelie_left(S, a, prelie_left(S, b, c))
+            lb = prelie_left(S, prelie_left(S, b, a), c) \
+                - prelie_left(S, b, prelie_left(S, a, c))
+            run.equal("left pre-Lie associator symmetric in first two", la, lb)
+            ra = prelie_right(S, prelie_right(S, a, b), c) \
+                - prelie_right(S, a, prelie_right(S, b, c))
+            rb = prelie_right(S, prelie_right(S, a, c), b) \
+                - prelie_right(S, a, prelie_right(S, c, b))
+            run.equal("right pre-Lie associator symmetric in last two", ra, rb)
+            run.equal("right product is the negated flipped left product",
+                      prelie_right(S, a, b), -prelie_left(S, b, a))
+            bracket = S.star(a, b) - S.star(b, a)
+            run.equal("bracket = antisymmetrized left product",
+                      bracket, prelie_left(S, a, b) - prelie_left(S, b, a))
+            run.equal("bracket = antisymmetrized right product",
+                      bracket, prelie_right(S, a, b) - prelie_right(S, b, a))
+
+    return _reports("prelie-laws", options,
+                    {"degree": degree, "seed": options.seed, "trials": trials},
+                    _selectors(options, GRADED_SELECTORS, theta_sweep=True), body)
 
 
 def suite_dynkin_prelie(options: Options):
     nmax = _given(options.n, 5)
 
-    def words_thunk():
-        run = _Run("dynkin-prelie", "words", {"n": nmax})
+    def words(run):
         for n in range(1, nmax + 1):
             w = Word(tuple(range(1, n + 1)))
             d = hopf.dynkin_word(w)
@@ -240,37 +255,33 @@ def suite_dynkin_prelie(options: Options):
             dn = hopf.comp_dynkin(n)
             run.equal(f"composition Dynkin quasi-idempotence, degree {n}",
                       hopf.comp_dynkin_apply(dn), dn.scale(n))
-        return run.report()
 
-    yield words_thunk
-    for sel in _selectors(options, STANDARD_SELECTORS):
-        def thunk(sel=sel):
-            run = _Run("dynkin-prelie", sel, {"n": nmax, "seed": options.seed})
-            S = _build(sel, options)
-            a = S.generator(options.seed)
-            for n in range(1, nmax + 1):
-                run.equal(f"Dynkin image of the power sum = iterated pre-Lie word, n={n}",
-                          hopf.dynkin_w(S, a, n), ell(S, *([a] * n)))
-            return run.report()
-        yield thunk
+    def body(run, S):
+        a = S.generator(options.seed)
+        for n in range(1, nmax + 1):
+            run.equal(f"Dynkin image of the power sum = iterated pre-Lie word, n={n}",
+                      hopf.dynkin_w(S, a, n), ell(S, *([a] * n)))
+
+    return _reports("dynkin-prelie", options, {"n": nmax, "seed": options.seed},
+                    _selectors(options, STANDARD_SELECTORS), body,
+                    free=(("words", {"n": nmax}, words),))
 
 
 def suite_power_sums(options: Options):
     nmax = _given(options.n, 6)
-    for sel in _selectors(options, STANDARD_SELECTORS):
-        def thunk(sel=sel):
-            run = _Run("power-sums", sel, {"n": nmax, "seed": options.seed})
-            S = _build(sel, options)
-            a = S.generator(options.seed)
-            for n in range(1, nmax + 1):
-                run.equal(f"right power sum from compositions, n={n}",
-                          hopf.w_right_from_compositions(S, a, n),
-                          w_right(S, a, n))
-                run.equal(f"left power sum from compositions, n={n}",
-                          hopf.w_left_from_compositions(S, a, n),
-                          w_left(S, a, n))
-            return run.report()
-        yield thunk
+
+    def body(run, S):
+        a = S.generator(options.seed)
+        for n in range(1, nmax + 1):
+            run.equal(f"right power sum from compositions, n={n}",
+                      hopf.w_right_from_compositions(S, a, n),
+                      w_right(S, a, n))
+            run.equal(f"left power sum from compositions, n={n}",
+                      hopf.w_left_from_compositions(S, a, n),
+                      w_left(S, a, n))
+
+    return _reports("power-sums", options, {"n": nmax, "seed": options.seed},
+                    _selectors(options, STANDARD_SELECTORS), body)
 
 
 SPITZER_SELECTORS = ("shuffle", "max", "mr",
@@ -281,17 +292,16 @@ RB_SPITZER_SELECTORS = ("rb-seqmat:theta=1,k=1,N=5", "rb-polymat:k=1")
 
 def suite_spitzer(options: Options):
     n = _given(options.n, 6)
-    for sel in _selectors(options, SPITZER_SELECTORS):
-        def thunk(sel=sel):
-            run = _Run("spitzer", sel, {"n": n, "seed": options.seed})
-            S = _build(sel, options)
-            sums = lyndon.spitzer_sums(S, S.sweep_args(n, options.seed))
-            run.equal("symmetrized > chains = E-block pre-Lie products",
-                      sums["right_chain"], sums["t_sum"])
-            run.equal("symmetrized < chains = F-block pre-Lie products",
-                      sums["left_chain"], sums["u_sum"])
-            return run.report()
-        yield thunk
+
+    def body(run, S):
+        sums = lyndon.spitzer_sums(S, S.sweep_args(n, options.seed))
+        run.equal("symmetrized > chains = E-block pre-Lie products",
+                  sums["right_chain"], sums["t_sum"])
+        run.equal("symmetrized < chains = F-block pre-Lie products",
+                  sums["left_chain"], sums["u_sum"])
+
+    return _reports("spitzer", options, {"n": n, "seed": options.seed},
+                    _selectors(options, SPITZER_SELECTORS), body)
 
 
 MAGNUS_CAP = 6   # the default truncation degree of the Magnus series
@@ -299,38 +309,36 @@ MAGNUS_CAP = 6   # the default truncation degree of the Magnus series
 
 def suite_magnus(options: Options):
     cap = _given(options.cap, MAGNUS_CAP)
-    for sel in _selectors(options, STANDARD_SELECTORS):
-        def thunk(sel=sel):
-            run = _Run("magnus", sel, {"cap": cap, "seed": options.seed})
-            S = _build(sel, options)
-            a = S.generator(options.seed)
-            om = magnus.magnus_omega(S, a, cap)
-            l2, l3 = ell(S, a, a), ell(S, a, a, a)
-            closed_forms = (
-                ("omega_1 = a", a),
-                ("omega_2 = ell(2)/2", l2.scale(Fraction(1, 2))),
-                ("omega_3 = ell(3)/3 + [ell(1), ell(2)]/12",
-                 l3.scale(Fraction(1, 3))
-                 + lie_bracket(S, a, l2).scale(Fraction(1, 12))),
-            )
-            for d, (check, value) in enumerate(closed_forms[:cap], start=1):
-                run.equal(check, om.coeff(d), value)
-            y = magnus.power_sum_series(S, a, cap)
-            run.series_equal("exp of omega = power-sum series",
-                             magnus.star_exp(S, om), y)
-            run.series_equal("log of power-sum series = omega",
-                             magnus.star_log(S, y), om)
-            run.true("power-sum series solves its Dynkin differential identity",
-                     magnus.dynkin_ode_check(S, a, cap))
-            return run.report()
-        yield thunk
+
+    def body(run, S):
+        a = S.generator(options.seed)
+        om = magnus.magnus_omega(S, a, cap)
+        l2, l3 = ell(S, a, a), ell(S, a, a, a)
+        closed_forms = (
+            ("omega_1 = a", a),
+            ("omega_2 = ell(2)/2", l2.scale(Fraction(1, 2))),
+            ("omega_3 = ell(3)/3 + [ell(1), ell(2)]/12",
+             l3.scale(Fraction(1, 3))
+             + lie_bracket(S, a, l2).scale(Fraction(1, 12))),
+        )
+        for d, (check, value) in enumerate(closed_forms[:cap], start=1):
+            run.equal(check, om.coeff(d), value)
+        y = magnus.power_sum_series(S, a, cap)
+        run.series_equal("exp of omega = power-sum series",
+                         magnus.star_exp(S, om), y)
+        run.series_equal("log of power-sum series = omega",
+                         magnus.star_log(S, y), om)
+        run.true("power-sum series solves its Dynkin differential identity",
+                 magnus.dynkin_ode_check(S, a, cap))
+
+    return _reports("magnus", options, {"cap": cap, "seed": options.seed},
+                    _selectors(options, STANDARD_SELECTORS), body)
 
 
 def suite_pbw(options: Options):
     nmax = _given(options.n, 5)
 
-    def thunk():
-        run = _Run("pbw", "words", {"n": nmax})
+    def words(run):
         for n in range(1, nmax + 1):
             target = Elem.term(WORD_SORT, Word(tuple(range(1, n + 1))))
             for image in itertools.permutations(range(1, n + 1)):
@@ -338,18 +346,16 @@ def suite_pbw(options: Options):
                         f"bracketed E-block expansion rebuilds x1..x{n} "
                         f"for beta={''.join(map(str, image))}",
                         lyndon.pbw_expansion(image), target):
-                    return run.report()
-        return run.report()
+                    return
 
-    yield thunk
+    return _reports("pbw", options, free=(("words", {"n": nmax}, words),))
 
 
 def suite_census(options: Options):
     nmax = _given(options.n, 8)
     cfl_max = min(nmax, 7)
 
-    def thunk():
-        run = _Run("census", "permutations", {"n": nmax, "cfl_n": cfl_max})
+    def permutations(run):
         for n in range(1, nmax + 1):
             for comp, count in sorted(lyndon.lyndon_census(n).items()):
                 run.true(f"census count for E-block type {comp}",
@@ -362,10 +368,10 @@ def suite_census(options: Options):
                 if not run.true(
                         f"E-blocks = decreasing-order Lyndon factors, sigma={image}",
                         ok, str(image)):
-                    return run.report()
-        return run.report()
+                    return
 
-    yield thunk
+    return _reports("census", options, free=(
+        ("permutations", {"n": nmax, "cfl_n": cfl_max}, permutations),))
 
 
 def _rb_nested_sums(S: RBStructure, args: list) -> tuple:
@@ -392,72 +398,65 @@ def _rb_nested_sums(S: RBStructure, args: list) -> tuple:
             elem_sum(S.sort, (nested_second(*image) for image in perms)))
 
 
-class _Corollary(NamedTuple):
-    """Both sides of the Rota-Baxter corollary for one argument list."""
+def _rb_corollary(run: _Run, S, n: int, seed: int) -> tuple | None:
+    """The sides of the Rota-Baxter corollary both RB suites compare.
 
-    args: list
-    plain: RBStructure
-    primed: RBStructure
-    nested1: Elem
-    nested2: Elem
-    t_sum: Elem
-    u_sum: Elem
-
-
-def _rb_corollary(suite: str, selectors: tuple, options: Options, checks):
-    """Thunks of one Rota-Baxter corollary suite; checks(run, S, c) is its own.
-
-    The shared part: the structure must be operator-induced, its sweep
-    arguments give the nested sums and the plain t_sum and primed u_sum.
+    Returns (args, nested1, nested2, t_sum, u_sum): S's n sweep arguments,
+    their two nested sums, the E-block sum of the plain variant and the
+    F-block sum of the primed one.  None, after failing a check on run,
+    when S is not operator-induced.
     """
-    n = _given(options.n, 5)
-    for sel in selectors:
-        def thunk(sel=sel):
-            run = _Run(suite, sel, {"n": n, "seed": options.seed})
-            S = _build(sel, options)
-            if not isinstance(S, RBStructure):
-                run.true("structure is operator-induced", False, S.name)
-                return run.report()
-            args = S.sweep_args(n, options.seed)
-            nested1, nested2 = _rb_nested_sums(S, args)
-            plain = S.with_variant("plain")
-            primed = S.with_variant("primed")
-            checks(run, S, _Corollary(
-                args, plain, primed, nested1, nested2,
-                lyndon.e_block_sum(plain, args),
-                lyndon.f_block_sum(primed, args)))
-            return run.report()
-        yield thunk
+    if not isinstance(S, RBStructure):
+        run.true("structure is operator-induced", False, S.name)
+        return None
+    args = S.sweep_args(n, seed)
+    nested1, nested2 = _rb_nested_sums(S, args)
+    return (args, nested1, nested2,
+            lyndon.e_block_sum(S.with_variant("plain"), args),
+            lyndon.f_block_sum(S.with_variant("primed"), args))
 
 
 def suite_rb_nested(options: Options):
-    def checks(run, S, c):
-        run.equal("nested operator chains (first kind) = E-block products",
-                  c.nested1, c.t_sum)
-        run.equal("nested operator chains (second kind) = primed F-block products",
-                  c.nested2, c.u_sum)
+    n = _given(options.n, 5)
 
-    return _rb_corollary("rb-nested", _selectors(options, (), theta_sweep=True),
-                         options, checks)
+    def body(run, S):
+        sides = _rb_corollary(run, S, n, options.seed)
+        if sides is None:
+            return
+        _, nested1, nested2, t_sum, u_sum = sides
+        run.equal("nested operator chains (first kind) = E-block products",
+                  nested1, t_sum)
+        run.equal("nested operator chains (second kind) = primed F-block products",
+                  nested2, u_sum)
+
+    return _reports("rb-nested", options, {"n": n, "seed": options.seed},
+                    _selectors(options, (), theta_sweep=True), body)
 
 
 def suite_rb_spitzer(options: Options):
-    def checks(run, S, c):
+    n = _given(options.n, 5)
+
+    def body(run, S):
+        sides = _rb_corollary(run, S, n, options.seed)
+        if sides is None:
+            return
+        args, nested1, nested2, t_sum, u_sum = sides
         run.equal("R image of nested chains = R image of E-block products",
-                  S.R(c.nested1), S.R(c.t_sum))
+                  S.R(nested1), S.R(t_sum))
         run.equal("R image of nested chains = R image of primed F-block products",
-                  S.R(c.nested2), S.R(c.u_sum))
+                  S.R(nested2), S.R(u_sum))
         if _commutative(S):
             run.equal("commutative carrier: both corollary sides coincide",
-                      c.t_sum, c.u_sum)
-            if len(c.args) >= 2:
-                a, b = c.args[0], c.args[1]
+                      t_sum, u_sum)
+            if len(args) >= 2:
+                a, b = args[0], args[1]
                 run.equal(
                     "commutative carrier: both operator pre-Lie products agree",
-                    prelie_left(c.plain, a, b), prelie_right(c.primed, a, b))
+                    prelie_left(S.with_variant("plain"), a, b),
+                    prelie_right(S.with_variant("primed"), a, b))
 
-    return _rb_corollary("rb-spitzer", _selectors(options, RB_SPITZER_SELECTORS),
-                         options, checks)
+    return _reports("rb-spitzer", options, {"n": n, "seed": options.seed},
+                    _selectors(options, RB_SPITZER_SELECTORS), body)
 
 
 def _commutative(S: RBStructure, sample: int = 16) -> bool:
@@ -469,18 +468,15 @@ def _commutative(S: RBStructure, sample: int = 16) -> bool:
 def suite_convolution(options: Options):
     nmax = _given(options.n, 5)
 
-    def words_thunk():
-        run = _Run("convolution", "words", {"n": nmax})
+    def words(run):
         for n in range(1, nmax + 1):
             target = Elem.term(WORD_SORT, Word(tuple(range(1, n + 1))))
             run.equal(f"graded Dynkin convolution rebuilds the word, n={n}",
                       hopf.convolution_expansion(n), target)
             run.equal(f"ordered-set-partition expansion rebuilds the word, n={n}",
                       hopf.ordered_partition_expansion(n), target)
-        return run.report()
 
-    def max_thunk():
-        run = _Run("convolution", "max", {"n": nmax})
+    def max_words(run):
         for n in range(1, nmax + 1):
             S = MaxStructure(n, "increasing")
             a = sum((S.elem(Word((i,))) for i in range(2, n + 1)),
@@ -495,10 +491,9 @@ def suite_convolution(options: Options):
                 run.equal(
                     f"multilinear pre-Lie word = bracketed subsets, n={n}, i={i}",
                     multilinear_part(ell(S, *([a] * i))), expected)
-        return run.report()
 
-    yield words_thunk
-    yield max_thunk
+    return _reports("convolution", options, free=(
+        ("words", {"n": nmax}, words), ("max", {"n": nmax}, max_words)))
 
 
 SUITES = {

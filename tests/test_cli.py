@@ -301,6 +301,13 @@ class TestExitCodeContract:
         assert report.status == "fail"
         assert _emit_reports([report], "json") == 1
 
+    def test_operator_suite_on_a_word_structure_fails_without_checks(self):
+        """The library runs what the command line refuses, and fails it."""
+        (report,) = run_suites(["rb-nested"], Options(structure="shuffle"))
+        assert (report.suite, report.structure) == ("rb-nested", "shuffle")
+        assert report.status == "fail" and report.checks == 0
+        assert report.counterexample["check"] == "structure is operator-induced"
+
     def test_zero_check_report_from_the_command_line(self, capsys):
         """A degree bound that admits no axiom triple is refused up front."""
         code, out, err = run(capsys, "verify", "--suite", "axioms",

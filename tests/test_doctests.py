@@ -137,3 +137,18 @@ def test_every_memo_is_local_to_one_call(path):
     finder = _LongLivedMemos()
     finder.visit(ast.parse(path.read_text(), str(path)))
     assert not finder.lines, f"{path.name}: module- or class-level memo"
+
+
+def test_every_suite_report_is_made_in_one_place():
+    """suites.py opens a run, builds a structure and closes a report once."""
+    tree = ast.parse((SRC / "suites.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    runs = [c.lineno for c in calls if _name(c) == "_Run"]
+    builds = [c.lineno for c in calls if _name(c) == "from_selector"]
+    closes = [c.lineno for c in calls if _name(c) == "report"]
+    assert len(runs) == 1, f"_Run constructed on lines {runs}"
+    assert len(builds) == 1, f"from_selector called on lines {builds}"
+    assert len(closes) == 1, f"report() called on lines {closes}"
+    thunks = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "thunk"]
+    assert not thunks, f"suite thunks on lines {thunks}"

@@ -126,6 +126,17 @@ class TestElem:
         with pytest.raises(SortMismatch):
             Elem(WORD_SORT, terms)
 
+    def test_repeated_keys_sum_to_canonical_scalars(self):
+        """Terms of one key are added exactly and stored canonically."""
+        e = Elem(WORD_SORT, [(w(1), Fraction(1, 2))] * 2)
+        assert e.coeff(w(1)) == 1 and type(e.coeff(w(1))) is int
+        assert Elem(WORD_SORT, [(w(1), 1), (w(2), 3), (w(1), -1)]) == 3 * x(2)
+        assert not Elem(WORD_SORT, [(w(1), 1), (w(1), -1)])._terms
+
+    def test_coefficient_is_checked_before_key(self):
+        with pytest.raises(TypeError):
+            Elem(WORD_SORT, [("junk", 0.5)])
+
     def test_immutable(self):
         e = x(1)
         with pytest.raises(AttributeError):

@@ -1,6 +1,7 @@
 """Concrete structures against independent oracles and hand values."""
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -411,6 +412,59 @@ def test_weight_rule_on_every_key_pair(S):
         inner = S.carrier_mul(S.R(a), b) + S.carrier_mul(a, S.R(b)) \
             + S.carrier_mul(a, b).scale(S.theta)
         assert S.carrier_mul(S.R(a), S.R(b)) == S.R(inner)
+
+
+def set_partitions(items):
+    """Every partition of the tuple items into blocks, as lists of tuples."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in set_partitions(rest):
+        yield [(first,)] + partition
+        for i, block in enumerate(partition):
+            yield partition[:i] + [(first,) + block] + partition[i + 1:]
+
+
+def rota_smith_sum(S, args, sign):
+    """Sum over set partitions pi of prod over blocks B of
+    (sign*theta)^(|B|-1) (|B|-1)! R(a_B), a_B the carrier product over B."""
+    total = Elem(S.sort)
+    for partition in set_partitions(tuple(range(len(args)))):
+        term = None
+        for block in partition:
+            a_block = args[block[0]]
+            for i in block[1:]:
+                a_block = S.carrier_mul(a_block, args[i])
+            weight = (sign * S.theta) ** (len(block) - 1) \
+                * math.factorial(len(block) - 1)
+            factor = S.R(a_block).scale(weight)
+            term = factor if term is None else S.carrier_mul(term, factor)
+        total = total + term
+    return total
+
+
+ROTA_SMITH_SELECTORS = ["rb-polymat:k=1", *(f"rb-seqmat:theta={th},k=1,N=7"
+                                            for th in ("1", "2/3", "-1"))]
+
+
+@pytest.mark.parametrize("selector", ROTA_SMITH_SELECTORS)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_rota_smith_formula_on_commutative_carriers(selector, n):
+    """Bohnenblust-Spitzer / Rota-Smith: the R image of the first nested sum
+    is sum over set partitions of prod (-theta)^(|B|-1) (|B|-1)! R(a_B).
+
+    N = 7 exceeds every chain of n <= 5 R's, so the sums do not vanish; on
+    the seqmat carriers (theta nonzero) the +theta sign must fail from
+    n = 3, so the oracle tells the two signs apart.
+    """
+    S = from_selector(selector)
+    args = S.sweep_args(n, seed=0)
+    lhs = S.R(_rb_nested_sums(S, args)[0])
+    assert lhs, "a 0 = 0 comparison could not fail"
+    assert lhs == rota_smith_sum(S, args, -1)
+    if selector.startswith("rb-seqmat") and n >= 3:
+        assert lhs != rota_smith_sum(S, args, 1)
 
 
 @pytest.mark.parametrize("selector,good,bad", [
