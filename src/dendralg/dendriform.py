@@ -37,7 +37,8 @@ class DendriformStructure:
       degree(key)            -- the integer grading the products respect;
                                 0 for every key of a basis without one
       basis_keys(max_degree) -- iterable of non-unit keys to test on
-      generator(seed)        -- the unit-free element power sums expand
+      generator(seed)        -- the unit-free element power sums expand;
+                                by default sweep_args(1, seed)[0]
       sweep_args(n, seed)    -- n arguments for the symmetric-group sweeps
 
     Basis product tables: each instance keeps one table for < and one for >,
@@ -72,7 +73,9 @@ class DendriformStructure:
         raise NotImplementedError(f"{self.name}: no basis enumeration")
 
     def generator(self, seed: int = 0) -> Elem:
-        raise NotImplementedError(f"{self.name}: no generator")
+        """The first sweep argument: one rule for every structure that
+        does not say why it needs another."""
+        return self.sweep_args(1, seed)[0]
 
     def sweep_args(self, n: int, seed: int = 0) -> list:
         raise NotImplementedError(f"{self.name}: no sweep arguments")

@@ -32,7 +32,8 @@ from fractions import Fraction
 from .dendriform import DendriformStructure, w_right
 from .errors import EmptyWord, NormalizationError, SortMismatch
 from .ncalg import (
-    BasisSort, Elem, Series, Word, WORD_SORT, _accumulate, linear_combination,
+    BasisSort, Elem, Series, Word, WORD_SORT, _accumulate, _words,
+    linear_combination,
 )
 
 __all__ = [
@@ -83,12 +84,6 @@ def _bracket_product(blocks) -> list:
     return terms
 
 
-def _word_elem(data: dict) -> Elem:
-    """The word element of a letters-tuple -> coefficient dict."""
-    return Elem._trusted(WORD_SORT, {Word._trusted(u): c for u, c in data.items()
-                                     if c})
-
-
 def dynkin_word(w) -> Elem:
     """Left-to-right iterated bracketing with [u, v] = uv - vu on words.
 
@@ -104,7 +99,7 @@ def dynkin_word(w) -> Elem:
         raise TypeError(f"expected Word or word Elem, got {w!r}")
     if len(w) == 0:
         raise EmptyWord("the Dynkin operator needs at least one letter")
-    return _word_elem(_accumulate({}, _bracket_terms(w)))
+    return _words(_accumulate({}, _bracket_terms(w)))
 
 
 class GradedEndo:
@@ -119,11 +114,14 @@ class GradedEndo:
         self.degree = degree
 
     def __call__(self, w) -> Elem:
-        if isinstance(w, Word):
-            return self.fn(w)
         if isinstance(w, Elem) and w.sort == WORD_SORT:
             return w.map_keys(self.fn)
-        raise SortMismatch("graded endomorphisms act on word elements")
+        if not isinstance(w, Word):
+            raise SortMismatch("graded endomorphisms act on word elements")
+        image = self.fn(w)
+        if not isinstance(image, Elem) or image.sort != WORD_SORT:
+            raise SortMismatch(f"{self.name} sends {w} outside the word algebra")
+        return image
 
     def __repr__(self):
         return f"<GradedEndo {self.name}>"
@@ -157,18 +155,18 @@ def convolve(f: GradedEndo, g: GradedEndo) -> GradedEndo:
     """
     def fn(w: Word) -> Elem:
         n = len(w)
-        parts = []
+        data: dict = {}
         for k in range(n + 1) if f.degree is None else (f.degree,):
             for picked in itertools.combinations(range(n), k):
                 left = Word._trusted(w[i] for i in picked)
                 right = Word._trusted(w[i] for i in range(n) if i not in picked)
-                fl = f(left)
+                fl = f(left)._terms
                 if not fl:
                     continue
-                gr = g(right)
-                if gr:
-                    parts.append((concat_mul(fl, gr), 1))
-        return linear_combination(WORD_SORT, parts)
+                gr = g(right)._terms
+                for u, c in fl.items():
+                    _accumulate(data, ((u + v, c * d) for v, d in gr.items()))
+        return Elem._trusted(WORD_SORT, data)
 
     degree = None if None in (f.degree, g.degree) else f.degree + g.degree
     return GradedEndo(f"({f.name}*{g.name})", fn, degree)
@@ -208,7 +206,7 @@ def ordered_partition_expansion(n: int) -> Elem:
         denom = Fraction(1, comp_denominator(comp))
         for blocks in _ordered_partitions(tuple(range(1, n + 1)), comp):
             _accumulate(data, _bracket_product(blocks), denom)
-    return _word_elem(data)
+    return _words(data)
 
 
 def _ordered_partitions(universe: tuple, sizes: tuple):

@@ -6,8 +6,10 @@ new-from-the-right minimum gives the F-blocks.  Feeding the E-block values
 into iterated left pre-Lie products and multiplying gives T(sigma); the
 F-blocks with iterated right pre-Lie products give U(sigma).  Summed over the
 symmetric group these match the symmetrized dendriform half-products: the
-noncommutative Bohnenblust-Spitzer identity, checked here by exhaustive sweep
-with T and U written as recursions on index tuples.
+noncommutative Bohnenblust-Spitzer identity, checked here by exhaustive sweep.
+Every chain and pre-Lie block word of the sweep is one memoized fold over a
+tuple of argument indices (`_folds`); T and U peel their last block off the
+index tuple.
 
 The E-blocks are also the Chen-Fox-Lyndon factorization of the permutation
 word for the decreasing letter order, computed independently by Duval's
@@ -27,8 +29,8 @@ from typing import NamedTuple
 
 from .dendriform import DendriformStructure, ell, prelie_left, prelie_right, r
 from .errors import EmptyArgumentList, EmptyWord
-from .hopf import _bracket_product, _word_elem, comp_denominator
-from .ncalg import Elem, Perm, _accumulate, elem_sum
+from .hopf import _bracket_product, comp_denominator
+from .ncalg import Elem, Perm, _accumulate, _words, elem_sum
 
 __all__ = [
     "Profile", "profile", "omega_conjugate", "t_sigma", "u_sigma",
@@ -145,36 +147,45 @@ def _orders(args: list):
     return itertools.permutations(range(len(args)))
 
 
+def _folds(args: list, op):
+    """The left fold of op over argument indices, memoized within the call.
+
+    fold(i) = args[i] and fold(*idx) = op(fold(*idx[:-1]), args[idx[-1]]);
+    taken as varargs so that the cache key is the index tuple itself.  A
+    right-nested chain is the fold of op with its arguments swapped, read
+    over the indices backwards.
+    """
+    @functools.cache
+    def fold(*idx: int) -> Elem:
+        if len(idx) == 1:
+            return args[idx[0]]
+        return op(fold(*idx[:-1]), args[idx[-1]])
+
+    return fold
+
+
 def right_chain_sum(S: DendriformStructure, args) -> Elem:
     """Sum over the symmetric group of the left-nested > chains
     (...(a_s1 > a_s2) > ...) > a_sn.
 
-    A permutation is the tuple of argument indices in reading order.  The
-    chains are memoized per index tuple within the call, taken as varargs
-    so that the cache key is the tuple itself.
+    A permutation is the tuple of argument indices in reading order; the
+    chains are the folds of >.
     """
     args = list(args)
-
-    @functools.cache
-    def chain(*idx: int) -> Elem:
-        if len(idx) == 1:
-            return args[idx[0]]
-        return S.right(chain(*idx[:-1]), args[idx[-1]])
-
+    chain = _folds(args, S.right)
     return elem_sum(S.sort, (chain(*image) for image in _orders(args)))
 
 
 def left_chain_sum(S: DendriformStructure, args) -> Elem:
     """Sum over the symmetric group of the right-nested < chains
-    a_s1 < (a_s2 < ... (a_s(n-1) < a_sn)...), memoized as in right_chain_sum."""
+    a_s1 < (a_s2 < ... (a_s(n-1) < a_sn)...).
+
+    The chain of a permutation is the swapped fold over it read backwards;
+    as reading backwards permutes the symmetric group, each fold is summed
+    over the permutation it is read from.
+    """
     args = list(args)
-
-    @functools.cache
-    def chain(*idx: int) -> Elem:
-        if len(idx) == 1:
-            return args[idx[0]]
-        return S.left(args[idx[0]], chain(*idx[1:]))
-
+    chain = _folds(args, lambda acc, a: S.left(a, acc))
     return elem_sum(S.sort, (chain(*image) for image in _orders(args)))
 
 
@@ -184,17 +195,11 @@ def e_block_sum(S: DendriformStructure, args) -> Elem:
     t(idx) = t(idx[:m]) * ell(idx[m:]) with m the position of max(idx), as
     the last E-block starts at the global maximum, and t(()) = 1; peeling
     the last block keeps the star products in reading order.  The block
-    words are memoized per index tuple within the call; T is not, as caching
-    it raises peak memory and saves no time.
+    words are the folds of the left pre-Lie product; T is not memoized, as
+    caching it raises peak memory and saves no time.
     """
     args = list(args)
-
-    @functools.cache
-    def ell_at(*idx: int) -> Elem:
-        if len(idx) == 1:
-            return args[idx[0]]
-        return prelie_left(S, ell_at(*idx[:-1]), args[idx[-1]])
-
+    ell_at = _folds(args, functools.partial(prelie_left, S))
     unit = S.unit()
 
     def t(idx: tuple) -> Elem:
@@ -211,23 +216,18 @@ def f_block_sum(S: DendriformStructure, args) -> Elem:
 
     u(idx) = u(idx[:m]) * r(idx[m:]) with m one past the last position
     holding a value below idx[-1], as the last F-block ends at its own
-    minimum, and u(()) = 1; memoized as in e_block_sum.
+    minimum, and u(()) = 1.  The right-nested block words are the swapped
+    folds of the right pre-Lie product, read over each block backwards.
     """
     args = list(args)
-
-    @functools.cache
-    def r_at(*idx: int) -> Elem:
-        if len(idx) == 1:
-            return args[idx[0]]
-        return prelie_right(S, args[idx[0]], r_at(*idx[1:]))
-
+    r_at = _folds(args, lambda acc, a: prelie_right(S, a, acc))
     unit = S.unit()
 
     def u(idx: tuple) -> Elem:
         if not idx:
             return unit
         m = max((p + 1 for p, v in enumerate(idx) if v < idx[-1]), default=0)
-        return S.star(u(idx[:m]), r_at(*idx[m:]))
+        return S.star(u(idx[:m]), r_at(*reversed(idx[m:])))
 
     return elem_sum(S.sort, (u(image) for image in _orders(args)))
 
@@ -343,7 +343,7 @@ def pbw_expansion(beta) -> Elem:
         _accumulate(data, _bracket_product(
             tuple(beta[v - 1] for v in vals)
             for vals in profile(sigma).e_values))
-    return _word_elem(data)
+    return _words(data)
 
 
 def lyndon_census(n: int) -> dict:

@@ -4,8 +4,10 @@ Scalars are exact rationals with one representation each: a plain `int`
 when the value is integral, otherwise a `fractions.Fraction` (lowest terms,
 positive denominator above 1).  An `Elem` is a finite linear combination of
 basis keys with a deterministic term order; a `Series` is a truncated power
-series in a formal parameter t whose coefficients are elements.  Words and permutations, the two
-basis key types shared by several structures, live here as well.
+series in a formal parameter t whose coefficients are elements.  Words and
+permutations, the two basis key types shared by several structures, live
+here as well, with `_words` and `_perms`, which build their elements from
+tuple -> coefficient dicts.
 
 Every sum of elements inside the package goes through one accumulation path:
 `_accumulate(data, terms, c)` adds c times some terms into a plain dict, and
@@ -24,10 +26,13 @@ through the same two steps.  Keys follow the same rule: `Word(...)` and
 each a bare `tuple.__new__`, take data that the calling code builds valid
 by construction.
 
-A `Word` or a `Perm` is a `tuple` subclass with no slots of its own, so it
-stores no hash and dicts hash and compare it in C.  A word thus equals a
-permutation or a plain tuple with the same entries; sorts keep them apart,
-as `Elem(sort, terms)` and `Elem.coeff` check every key with `sort.check`.
+Every basis key of every sort is a tuple: a `Word` or a `Perm` (and the
+planar binary trees of `structures`) is a `tuple` subclass with no slots of
+its own, and defines no hash, equality or order, so dicts hash and compare
+it in C.  A word thus equals a permutation or a plain tuple with the same
+entries; sorts keep them apart, as `Elem(sort, terms)` and `Elem.coeff`
+check every key with `sort.check`.  A key's order is its sort's `skey`,
+which `Elem.support` reads; nothing compares keys with < or >.
 """
 
 from __future__ import annotations
@@ -62,27 +67,7 @@ def as_scalar(c) -> Scalar:
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
-class _LengthLex(tuple):
-    """A tuple ordered length-lexicographically: shorter first, then entry
-    by entry.  Only < and > are defined; <= and >= raise TypeError.
-    Subclasses check their entries in __init__, after tuple.__new__ has
-    taken them into self."""
-
-    __slots__ = ()
-
-    def __lt__(self, other) -> bool:
-        return (len(self), *self) < (len(other), *other)
-
-    def __gt__(self, other) -> bool:
-        return (len(self), *self) > (len(other), *other)
-
-    def __le__(self, other):
-        return NotImplemented
-
-    __ge__ = __le__
-
-
-class Word(_LengthLex):
+class Word(tuple):
     """A word over the positive-integer alphabet; letter i renders as xi.
 
     The word is the tuple of its letters.
@@ -91,7 +76,10 @@ class Word(_LengthLex):
     'x1.x2.x1'
     >>> Word((1,)) + Word((2,))
     Word((1, 2))
-    >>> sorted([Word((2,)), Word((1, 1)), Word((1,))])
+
+    Words are ordered by their sort, shorter first, then letter by letter:
+
+    >>> Elem(WORD_SORT, {Word((2,)): 1, Word((1, 1)): 1, Word((1,)): 1}).support()
     [Word((1,)), Word((2,)), Word((1, 1))]
     """
 
@@ -114,7 +102,7 @@ class Word(_LengthLex):
         return f"Word({tuple(self)!r})"
 
 
-class Perm(_LengthLex):
+class Perm(tuple):
     """A permutation of {1..n}: the tuple of its one-line notation.
 
     >>> Perm((3, 1, 2)).inverse()
@@ -462,6 +450,18 @@ def linear_combination(sort: BasisSort, pairs) -> Elem:
 
 def elem_sum(sort: BasisSort, elems: Iterable[Elem]) -> Elem:
     return linear_combination(sort, ((e, 1) for e in elems))
+
+
+def _words(counts: dict) -> Elem:
+    """The word element of a letter tuple -> coefficient dict."""
+    return Elem._trusted(WORD_SORT,
+                         {Word._trusted(t): c for t, c in counts.items()})
+
+
+def _perms(counts: dict) -> Elem:
+    """The permutation element of a one-line tuple -> coefficient dict."""
+    return Elem._trusted(PERM_SORT,
+                         {Perm._trusted(t): c for t, c in counts.items()})
 
 
 _TERM_RE = re.compile(r"^(?:(\d+(?:/\d+)?)\*)?(1|x\d+(?:\.x\d+)*)$")

@@ -33,7 +33,7 @@ from .dendriform import DendriformStructure
 from .errors import RBWeightCheckFailure
 from .ncalg import (
     BasisSort, Elem, Perm, Word, PERM_SORT, WORD_SORT, _accumulate, _bad_key,
-    as_scalar,
+    _perms, _words, as_scalar,
 )
 
 __all__ = [
@@ -78,18 +78,6 @@ def _half_shuffle(u: tuple, v: tuple, left: bool) -> dict:
     return out
 
 
-def _words(counts: dict) -> Elem:
-    """The word element of a letter tuple -> multiplicity dict."""
-    return Elem._trusted(WORD_SORT,
-                         {Word._trusted(t): c for t, c in counts.items()})
-
-
-def _perms(counts: dict) -> Elem:
-    """The permutation element of a one-line tuple -> multiplicity dict."""
-    return Elem._trusted(PERM_SORT,
-                         {Perm._trusted(t): c for t, c in counts.items()})
-
-
 class _WordStructure(DendriformStructure):
     sort = WORD_SORT
 
@@ -104,9 +92,6 @@ class _WordStructure(DendriformStructure):
         for d in range(1, max_degree + 1):
             for letters in itertools.product(self.alphabet, repeat=d):
                 yield Word(letters)
-
-    def generator(self, seed: int = 0) -> Elem:
-        return self.elem(Word((1,)))
 
     def sweep_args(self, n: int, seed: int = 0) -> list:
         return [self.elem(Word((i,))) for i in range(1, n + 1)]
@@ -138,7 +123,8 @@ class MaxStructure(_WordStructure):
         self.name = "max" if order == "increasing" else "max-rev"
 
     def generator(self, seed: int = 0) -> Elem:
-        """x1 + x2: a letter sum rich enough to keep brackets nonzero."""
+        """x1 + x2 rather than the default x1: as x1 > x1 = 0, every right
+        power sum of x1 vanishes, while a letter sum keeps brackets nonzero."""
         return self.elem(Word((1,))) + self.elem(Word((2,)))
 
     def _top(self, w: Word) -> int:
@@ -186,48 +172,51 @@ class MRStructure(DendriformStructure):
             for image in itertools.permutations(range(1, d + 1)):
                 yield Perm._trusted(image)
 
-    def generator(self, seed: int = 0) -> Elem:
-        return self.elem(Perm((1,)))
-
     def sweep_args(self, n: int, seed: int = 0) -> list:
-        return [self.generator()] * n
+        return [self.elem(Perm((1,)))] * n
 
 
 # ---------------------------------------------------------------------------
 # planar binary trees: the free dendriform algebra on one generator
 # ---------------------------------------------------------------------------
 
-class Tree:
-    """A planar binary tree; degree = number of internal vertices."""
+class Tree(tuple):
+    """A planar binary tree: the leaf is the empty tuple, a node the pair
+    (left, right) of its subtrees; degree = number of internal vertices.
 
-    __slots__ = ("left", "right", "deg", "code")
+    Like `Word` and `Perm`, a tree stores nothing beside its entries and
+    defines no hash, equality or order, so a tree equals the nested tuple of
+    its shape; TREE_SORT orders trees by degree, then by `code`.
 
-    def __init__(self, left: "Tree | None" = None, right: "Tree | None" = None):
-        if (left is None) != (right is None):
+    >>> t = Tree(Tree(LEAF, LEAF), LEAF)
+    >>> str(t), t.deg, t.code, t == (((), ()), ())
+    ('((^)^)', 2, (1, 1, 0, 0, 0), True)
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, left: "Tree | None" = None, right: "Tree | None" = None):
+        if left is None and right is None:
+            return tuple.__new__(cls, ())
+        if left is None or right is None:
             raise ValueError("a tree node needs both children")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        if left is None:
-            object.__setattr__(self, "deg", 0)
-            object.__setattr__(self, "code", (0,))
-        else:
-            object.__setattr__(self, "deg", left.deg + right.deg + 1)
-            object.__setattr__(self, "code", (1,) + left.code + right.code)
+        return tuple.__new__(cls, (left, right))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Tree is immutable")
+    left = property(lambda self: self[0] if self else None)
+    right = property(lambda self: self[1] if self else None)
+
+    @property
+    def deg(self) -> int:
+        """The number of internal vertices."""
+        return self[0].deg + self[1].deg + 1 if self else 0
+
+    @property
+    def code(self) -> tuple:
+        """The preorder code: 1 for each internal vertex, 0 for each leaf."""
+        return (1, *self[0].code, *self[1].code) if self else (0,)
 
     def is_leaf(self) -> bool:
-        return self.left is None
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Tree) and self.code == other.code
-
-    def __hash__(self) -> int:
-        return hash(self.code)
-
-    def __lt__(self, other: "Tree") -> bool:
-        return (self.deg, self.code) < (other.deg, other.code)
+        return not self
 
     def __str__(self) -> str:
         if self.is_leaf():
@@ -277,12 +266,14 @@ class FreeStructure(DendriformStructure):
     sort = TREE_SORT
 
     def basis_left(self, t: Tree, s: Tree) -> Elem:
-        return Elem._trusted(TREE_SORT, {Tree(t.left, m): c
-                                         for m, c in self._star_keys(t.right, s)})
+        left, right = t
+        return Elem._trusted(TREE_SORT, {Tree(left, m): c
+                                         for m, c in self._star_keys(right, s)})
 
     def basis_right(self, t: Tree, s: Tree) -> Elem:
-        return Elem._trusted(TREE_SORT, {Tree(m, s.right): c
-                                         for m, c in self._star_keys(t, s.left)})
+        left, right = s
+        return Elem._trusted(TREE_SORT, {Tree(m, right): c
+                                         for m, c in self._star_keys(t, left)})
 
     def _star_keys(self, u: Tree, v: Tree):
         """u * v on trees as (tree, coeff) pairs; the leaf is the unit key.
@@ -300,6 +291,8 @@ class FreeStructure(DendriformStructure):
             yield from enumerate_trees(d)
 
     def generator(self, seed: int = 0) -> Elem:
+        """The one-vertex tree, the free generator, rather than the default
+        first sweep argument, a random multiple of it."""
         return self.elem(Tree(LEAF, LEAF))
 
     def sweep_args(self, n: int, seed: int = 0) -> list:
@@ -482,9 +475,6 @@ class RBStructure(DendriformStructure):
 
     def basis_keys(self, max_degree: int):
         return self.backend.keys(max_degree)
-
-    def generator(self, seed: int = 0) -> Elem:
-        return _random_args(self, 1, seed)[0]
 
     def sweep_args(self, n: int, seed: int = 0) -> list:
         return _random_args(self, n, seed)

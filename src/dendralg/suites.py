@@ -379,23 +379,15 @@ def _rb_nested_sums(S: RBStructure, args: list) -> tuple:
 
     First: sum over sigma of R(...R(R(a1)a2)...a_{n-1})a_n, built from the
     backend product and R only.  Second: sum over sigma of
-    a1 R(a2 ... R(a_{n-1} R(a_n)) ...).
+    a1 R(a2 ... R(a_{n-1} R(a_n)) ...), the swapped fold read backwards;
+    summed over sigma, each fold is taken over the permutation it is read
+    from.
     """
-    @functools.cache
-    def nested_first(*idx: int) -> Elem:
-        if len(idx) == 1:
-            return args[idx[0]]
-        return S.carrier_mul(S.R(nested_first(*idx[:-1])), args[idx[-1]])
-
-    @functools.cache
-    def nested_second(*idx: int) -> Elem:
-        if len(idx) == 1:
-            return args[idx[0]]
-        return S.carrier_mul(args[idx[0]], S.R(nested_second(*idx[1:])))
-
+    first = lyndon._folds(args, lambda acc, a: S.carrier_mul(S.R(acc), a))
+    second = lyndon._folds(args, lambda acc, a: S.carrier_mul(a, S.R(acc)))
     perms = list(itertools.permutations(range(len(args))))
-    return (elem_sum(S.sort, (nested_first(*image) for image in perms)),
-            elem_sum(S.sort, (nested_second(*image) for image in perms)))
+    return (elem_sum(S.sort, (first(*image) for image in perms)),
+            elem_sum(S.sort, (second(*image) for image in perms)))
 
 
 def _rb_corollary(run: _Run, S, n: int, seed: int) -> tuple | None:

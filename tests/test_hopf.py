@@ -167,6 +167,12 @@ PRODUCTS = _products()
 class TestDegreeAwareConvolution:
     """convolve visits only left subsets of the left factor's degree."""
 
+    def test_an_image_outside_the_word_algebra_is_refused(self):
+        off_sort = GradedEndo("c", lambda w: comp_elem(len(w)), 1)
+        product = convolve(off_sort, dynkin_degree_endo(1))
+        with pytest.raises(SortMismatch):
+            product(Word((1, 2)))
+
     def test_factories_record_their_degree(self):
         assert counit_unit_endo().degree == 0
         assert projection_endo(3).degree == 3

@@ -21,7 +21,7 @@ from dendralg import (
 from dendralg.errors import SortMismatch
 from dendralg.ncalg import PERM_SORT, WORD_SORT, linear_combination
 from dendralg.magnus import prelie_word_series
-from dendralg.structures import FreeStructure, MRStructure
+from dendralg.structures import LEAF, FreeStructure, MRStructure, Tree
 
 _BUILT: dict = {}
 
@@ -184,23 +184,25 @@ def test_a_key_costs_what_its_tuple_costs():
     for t in ((), (1,), (2, 1, 3)):
         assert sys.getsizeof(Word(t)) == sys.getsizeof(t)
         assert sys.getsizeof(Perm(t)) == sys.getsizeof(t)
-    for cls in (Word, Perm):
-        assert "__hash__" not in vars(cls) and "__eq__" not in vars(cls)
+    assert sys.getsizeof(Tree(LEAF, LEAF)) == sys.getsizeof(((), ()))
+    for cls in (Word, Perm, Tree):
+        assert cls.__bases__ == (tuple,)
+        assert not {"__eq__", "__hash__", "__lt__", "__gt__", "__le__",
+                    "__ge__", "__setattr__"} & set(vars(cls))
         assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__
 
 
 def test_keys_are_ordered_length_lex_both_ways():
+    """Each sort lists its keys shorter first, then entry by entry, whatever
+    order they were added in."""
     words = [Word(t) for n in range(4) for t in itertools.product((1, 2), repeat=n)]
     perms = [Perm(t) for n in range(4)
              for t in itertools.permutations(range(1, n + 1))]
-    for keys in (words, perms):
-        for a, b in itertools.product(keys, repeat=2):
-            length_lex = (len(a), tuple(a)) < (len(b), tuple(b))
-            assert (a < b) == (b > a) == length_lex
-        with pytest.raises(TypeError):
-            keys[1] <= keys[2]
-        with pytest.raises(TypeError):
-            keys[1] >= keys[2]
+    for sort, keys in ((WORD_SORT, words), (PERM_SORT, perms)):
+        length_lex = sorted(keys, key=lambda k: (len(k), tuple(k)))
+        for added in (keys, keys[::-1]):
+            e = Elem(sort, {k: 1 for k in added})
+            assert e.support() == length_lex
 
 
 @settings(max_examples=25, deadline=None)

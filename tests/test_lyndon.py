@@ -141,12 +141,14 @@ class TestSpitzerSums:
         ids=[sel.split(":")[0] + ("-primed" if var == "primed" else "")
              for sel, var in SPITZER_CASES])
     def test_cached_equals_naive(self, selector, variant):
-        """The index-tuple recursions against per-permutation cut lists."""
+        """The memoized folds against per-permutation cut lists, from the
+        folds' base case (n = 1) and one step (n = 2) up."""
         S = from_selector(selector)
         if variant == "primed":
             S = S.with_variant("primed")
-        args = S.sweep_args(4, seed=3)
-        assert spitzer_sums(S, args) == naive_sums(S, args)
+        for n in (1, 2, 4):
+            args = S.sweep_args(n, seed=3)
+            assert spitzer_sums(S, args) == naive_sums(S, args)
 
     def test_shuffle_letters_give_all_words(self, shuffle):
         """Single-letter chains collapse to one word each, so the symmetrized

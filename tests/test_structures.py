@@ -21,7 +21,7 @@ from dendralg import (
 from dendralg.errors import SortMismatch
 from dendralg.ncalg import PERM_SORT, WORD_SORT
 from dendralg.structures import (
-    LEAF, SeqMatBackend, Tree, _sample_pairs, enumerate_trees,
+    LEAF, TREE_SORT, SeqMatBackend, Tree, _sample_pairs, enumerate_trees,
 )
 from dendralg.suites import RB_THETAS, _rb_nested_sums
 
@@ -232,6 +232,29 @@ class TestMR:
 class TestFree:
     def test_catalan_counts(self):
         assert [len(enumerate_trees(d)) for d in range(5)] == [1, 1, 2, 5, 14]
+
+    def test_trees_are_nested_tuples_with_derived_degree_and_code(self):
+        """On every tree of degree <= 5: deg and code against a reference
+        preorder (1 per internal vertex, 0 per leaf), a node equals the
+        pair of its subtrees, and a plain tuple is not a tree key."""
+        def preorder(t):
+            return (1, *preorder(t[0]), *preorder(t[1])) if t else (0,)
+
+        assert LEAF == () and LEAF.is_leaf() and LEAF.left is None
+        for d in range(6):
+            for t in enumerate_trees(d):
+                code = preorder(t)
+                assert t.code == code and t.deg == code.count(1) == d
+                if d:
+                    left, right = t
+                    assert t.left is left and t.right is right
+                    assert Tree(left, right) == (left, right) == t
+                    assert not t.is_leaf()
+                TREE_SORT.check(t)
+        with pytest.raises(SortMismatch):
+            TREE_SORT.check(((), ()))
+        with pytest.raises(ValueError):
+            Tree(LEAF)
 
     def test_star_degree_additivity(self, free):
         g = free.generator()
