@@ -14,8 +14,12 @@ operand with a nonzero unit coefficient, and only * is extended unitally.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import AxiomCheckFailure, EmptyArgumentList, SortMismatch, UnitMisuse
-from .ncalg import Elem, _accumulate, _accumulate_groups, _group_terms
+from .ncalg import (
+    Elem, _accumulate, _accumulate_groups, _group_terms, _normalized,
+)
 
 __all__ = [
     "DendriformStructure", "OppositeStructure",
@@ -169,6 +173,12 @@ class DendriformStructure:
         within[r] lists the keys of degree <= r in enumeration order, so the
         triples come out in the order of the full triple loop with the
         inadmissible ones left out, and none is ever visited.
+
+        The pair products a<b, a>b and a*b are shared within one call: each
+        key pair's three are computed once, as normalized term dicts, so a
+        triple costs only its six outer products, and the two sides of each
+        axiom compare as dicts.  Elements are built only to render a
+        counterexample.
         """
         keys = list(self.basis_keys(max_degree))
         degs = {k: self.degree(k) for k in keys}
@@ -178,25 +188,39 @@ class DendriformStructure:
                    for ka in keys
                    for kb in within.get(max_degree - degs[ka], ())
                    for kc in within.get(max_degree - degs[ka] - degs[kb], ()))
+        left = ((self._left_table, self.basis_left),)
+        right = ((self._right_table, self.basis_right),)
+        half = self._half_into
+
+        @functools.cache
+        def pair(k1, k2):
+            """k1 < k2, k1 > k2 and k1 * k2, as normalized term dicts."""
+            one = (((k1, 1),), ((k2, 1),))
+            return tuple(_normalized(half({}, halves, *one))
+                         for halves in (left, right, left + right))
+
         checked = 0
         for ka, kb, kc in triples:
-            a, b, c = self.elem(ka), self.elem(kb), self.elem(kc)
-            pairs = (
+            ab_left, ab_right, ab = pair(ka, kb)
+            bc_left, bc_right, bc = pair(kb, kc)
+            a, c = ((ka, 1),), ((kc, 1),)
+            sides = (
                 ("(a<b)<c = a<(b*c)",
-                 self.left(self.left(a, b), c),
-                 self.left(a, self.star(b, c))),
+                 half({}, left, ab_left.items(), c),
+                 half({}, left, a, bc.items())),
                 ("(a>b)<c = a>(b<c)",
-                 self.left(self.right(a, b), c),
-                 self.right(a, self.left(b, c))),
+                 half({}, left, ab_right.items(), c),
+                 half({}, right, a, bc_left.items())),
                 ("a>(b>c) = (a*b)>c",
-                 self.right(a, self.right(b, c)),
-                 self.right(self.star(a, b), c)),
+                 half({}, right, a, bc_right.items()),
+                 half({}, right, ab.items(), c)),
             )
-            for label, lhs, rhs in pairs:
-                if lhs != rhs:
+            for label, lhs, rhs in sides:
+                if _normalized(lhs) != _normalized(rhs):
                     raise AxiomCheckFailure(
                         self.name, label, (ka, kb, kc),
-                        lhs.render(max_terms=10), rhs.render(max_terms=10))
+                        *(Elem._trusted(self.sort, side).render(max_terms=10)
+                          for side in (lhs, rhs)))
             checked += 1
         return checked
 

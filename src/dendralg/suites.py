@@ -23,7 +23,7 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import hopf, lyndon, magnus
+from . import _lazy
 from .dendriform import (
     ell, lie_bracket, prelie_left, prelie_right, w_left, w_right,
 )
@@ -33,6 +33,9 @@ from .structures import (
     MaxStructure, RBStructure, STANDARD_SELECTORS, _sample_pairs,
     from_selector, random_element,
 )
+
+# executed on first use, so an axioms run never compiles them
+hopf, lyndon, magnus = _lazy("hopf"), _lazy("lyndon"), _lazy("magnus")
 
 __all__ = ["SuiteReport", "Options", "SUITES", "OPERATOR_SUITES", "run_suites",
            "suite_names"]

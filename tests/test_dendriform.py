@@ -1,14 +1,17 @@
-"""Half-product conventions, pre-Lie derivations, power sums, opposites."""
+"""Half-product conventions, pre-Lie derivations, power sums, opposites,
+and the axiom self-test against a naive reference."""
 
 import itertools
 
 import pytest
 
 from dendralg import (
-    AxiomCheckFailure, Elem, EmptyArgumentList, ShuffleStructure, SortMismatch,
-    UnitMisuse, Word, assoc, ell, lie_bracket, opposite, prelie_left,
+    STANDARD_SELECTORS, AxiomCheckFailure, Elem, EmptyArgumentList,
+    MaxStructure, RBStructure, ShuffleStructure, SortMismatch, UnitMisuse,
+    Word, assoc, ell, from_selector, lie_bracket, opposite, prelie_left,
     prelie_right, r, w_left, w_right,
 )
+from dendralg.structures import SeqMatBackend
 
 
 def letters(S, n):
@@ -198,3 +201,99 @@ def test_axiom_failure_is_reported():
     assert exc.axiom
     assert len(exc.keys) == 3
     assert exc.lhs != exc.rhs
+
+
+# ---------------------------------------------------------------------------
+# self_test against a naive reference
+# ---------------------------------------------------------------------------
+
+def _reference_self_test(S, max_degree):
+    """The three axioms on every admissible triple, ten element products each.
+
+    An independent restatement of `DendriformStructure.self_test` through the
+    public half-products: returns the triple count, or the first failure as
+    (label, key triple, lhs, rhs) with both sides rendered as self_test does.
+    """
+    keys = list(S.basis_keys(max_degree))
+    triples = ((ka, kb, kc) for ka in keys for kb in keys
+               if S.degree(ka) + S.degree(kb) <= max_degree
+               for kc in keys
+               if S.degree(ka) + S.degree(kb) + S.degree(kc) <= max_degree)
+    checked = 0
+    for ka, kb, kc in triples:
+        a, b, c = S.elem(ka), S.elem(kb), S.elem(kc)
+        sides = (
+            ("(a<b)<c = a<(b*c)", S.left(S.left(a, b), c),
+             S.left(a, S.star(b, c))),
+            ("(a>b)<c = a>(b<c)", S.left(S.right(a, b), c),
+             S.right(a, S.left(b, c))),
+            ("a>(b>c) = (a*b)>c", S.right(a, S.right(b, c)),
+             S.right(S.star(a, b), c)),
+        )
+        for label, lhs, rhs in sides:
+            if lhs != rhs:
+                return (label, (ka, kb, kc), lhs.render(max_terms=10),
+                        rhs.render(max_terms=10))
+        checked += 1
+    return checked
+
+
+class _DroppedTermShuffle(ShuffleStructure):
+    """A half-shuffle that loses its last term whenever it has two or more
+    and both words have at least `shortest` letters."""
+
+    def __init__(self, alphabet, shortest=1):
+        super().__init__(alphabet)
+        self.shortest = shortest
+
+    def basis_left(self, w1, w2):
+        terms = super().basis_left(w1, w2).items()
+        if len(terms) > 1 and min(len(w1), len(w2)) >= self.shortest:
+            terms = terms[:-1]
+        return Elem(self.sort, terms)
+
+
+class _TiesRightMax(MaxStructure):
+    """max with ties sent right as well, so a tie lands in both halves.
+
+    (Ties sent only right would give another dendriform structure.)
+    """
+
+    def basis_right(self, w1, w2):
+        if self._top(w1) <= self._top(w2):
+            return Elem.term(self.sort, w1 + w2)
+        return Elem.zero(self.sort)
+
+
+class _InclusiveSeqMat(SeqMatBackend):
+    """Partial sums over m <= n: an operator of weight -theta, not theta."""
+
+    def r_key(self, key):
+        p, i, j = key
+        return tuple(((q, i, j), self.theta) for q in range(p, self.N + 1))
+
+
+BROKEN = {
+    "shuffle-dropped-term": lambda: _DroppedTermShuffle(3),
+    "shuffle-late-drop": lambda: _DroppedTermShuffle(3, shortest=2),
+    "max-ties-right": lambda: _TiesRightMax(3),
+    "opposite-of-broken": lambda: opposite(_DroppedTermShuffle(3)),
+    "rb-seqmat-inclusive": lambda: RBStructure(
+        _InclusiveSeqMat(1, 2, 3), check=False),
+}
+
+
+@pytest.mark.parametrize("name", BROKEN)
+def test_self_test_reports_the_reference_first_failure(name):
+    expected = _reference_self_test(BROKEN[name](), 4)
+    assert isinstance(expected, tuple), f"{name} is not broken"
+    with pytest.raises(AxiomCheckFailure) as info:
+        BROKEN[name]().self_test(4)
+    exc = info.value
+    assert (exc.axiom, exc.keys, exc.lhs, exc.rhs) == expected
+
+
+@pytest.mark.parametrize("selector", STANDARD_SELECTORS)
+def test_self_test_counts_the_reference_triples(selector):
+    assert from_selector(selector).self_test(4) == \
+        _reference_self_test(from_selector(selector), 4)

@@ -1,9 +1,10 @@
 """Docstring examples, the package names that other code looks up, the
-modules the command line loads, and the rule that every memo is local to one
-call."""
+modules the command line loads and executes, and the rule that every memo is
+local to one call."""
 
 import ast
 import doctest
+import json
 import os
 import re
 import subprocess
@@ -65,6 +66,21 @@ def test_the_probe_module_imports():
     assert "spitzer6_shuffle" in probes
 
 
+def _fresh(script: str, *args: str) -> str:
+    """Run script in a fresh interpreter on this package; its stdout.
+
+    Every request is a fresh process, so what a module import costs or
+    leaves behind shows only in one.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 _NEW_MODULES_SCRIPT = """
 import sys
 before = set(sys.modules)
@@ -75,20 +91,130 @@ HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def test_the_command_line_loads_no_introspection_modules():
-    """Every request is a fresh process, so each import is paid each time.
-
-    Only the modules that importing the CLI adds are compared, so a site that
-    loads some of these at start-up does not fail the test.
-    """
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _NEW_MODULES_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
+    """Only the modules that importing the CLI adds are compared, so a site
+    that loads some of these at start-up does not fail the test."""
+    added = set(_fresh(_NEW_MODULES_SCRIPT).split())
     assert "dendralg.cli" in added
     assert not added & HEAVY_MODULES
+
+
+# the names the package exports, by home module
+PUBLIC = {
+    "dendriform": "DendriformStructure OppositeStructure assoc ell lie_bracket "
+                  "opposite prelie_left prelie_right r w_left w_right",
+    "errors": "AxiomCheckFailure DendralgError EmptyArgumentList EmptyWord "
+              "InvalidPermutation NormalizationError RBWeightCheckFailure "
+              "SortMismatch UnitMisuse",
+    "hopf": "comp_antipode comp_coproduct comp_dynkin compositions "
+            "comp_denominator convolution_expansion convolve dynkin_w "
+            "dynkin_word gamma ordered_partition_expansion w_antipode "
+            "w_left_from_compositions w_right_from_compositions",
+    "lyndon": "bohnenblust_spitzer_check census_formula cfl_factorize "
+              "is_lyndon lyn_set lyndon_census pbw_expansion profile "
+              "spitzer_sums t_sigma u_sigma",
+    "magnus": "bernoulli_numbers dynkin_ode_check magnus_omega "
+              "power_sum_series star_exp star_log",
+    "ncalg": "Elem Perm Series Word multilinear_part parse_word_elem "
+             "series_inverse series_mul",
+    "structures": "STANDARD_SELECTORS FreeStructure MaxStructure MRStructure "
+                  "RBStructure ShuffleStructure from_selector free_structure "
+                  "max_structure mr_structure random_element "
+                  "rb_polymat_structure rb_seqmat_structure shuffle_structure",
+    "suites": "SUITES Options SuiteReport run_suites",
+}
+LAZY = ("hopf", "lyndon", "magnus")
+
+_PUBLIC_SCRIPT = """
+import importlib, json, sys, types
+cli_first, public = sys.argv[1] == "cli-first", json.loads(sys.argv[2])
+import dendralg
+if cli_first:
+    import dendralg.cli
+out = {"loaded": sorted(n for n in sys.modules if n.startswith("dendralg."))}
+out["unbound"] = [m for m in ("hopf", "lyndon", "magnus")
+                  if getattr(dendralg, m) is not sys.modules[f"dendralg.{m}"]]
+out["executed"] = [m for m in ("hopf", "lyndon", "magnus")
+                   if type(sys.modules[f"dendralg.{m}"]) is types.ModuleType]
+names = [name for names in public.values() for name in names.split()]
+out["moved"] = [name for home, names in public.items()
+                for name in names.split()
+                if getattr(dendralg, name) is not getattr(
+                    importlib.import_module(f"dendralg.{home}"), name)]
+out["all"] = sorted(dendralg.__all__)
+out["dir"] = [name for name in names + list(public) if name not in dir(dendralg)]
+star = {}
+exec("from dendralg import *", star)
+out["star"] = [name for name in names if star.get(name) is not getattr(dendralg, name)]
+try:
+    dendralg.no_such_name
+    out["unknown"] = "resolved"
+except AttributeError:
+    out["unknown"] = "AttributeError"
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("cli_first", ["package-only", "cli-first"])
+def test_the_package_exports_every_public_name(cli_first):
+    """Each name is its home module's object, listed by dir and __all__ and
+    bound by a star import; hopf, lyndon and magnus resolve as attributes
+    whether or not the command line has bound them for loading on first use.
+    """
+    out = json.loads(_fresh(_PUBLIC_SCRIPT, cli_first, json.dumps(PUBLIC)))
+    if cli_first == "package-only":
+        assert out["loaded"] == []
+        assert out["executed"] == list(LAZY)
+    else:
+        assert {f"dendralg.{m}" for m in LAZY} <= set(out["loaded"])
+        assert out["executed"] == []
+    assert out["unbound"] == []
+    assert out["moved"] == []
+    assert out["all"] == sorted(" ".join(PUBLIC.values()).split())
+    assert out["dir"] == []
+    assert out["star"] == []
+    assert out["unknown"] == "AttributeError"
+
+
+_REQUEST_SCRIPT = """
+import contextlib, io, json, sys, types
+from dendralg import cli
+imported = sorted(n for n in sys.modules if n.startswith("dendralg."))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "imported": imported, "executed": sorted(
+    name for name, module in sys.modules.items()
+    if name.startswith("dendralg.") and type(module) is types.ModuleType)}))
+"""
+
+
+def _request(*argv: str) -> dict:
+    """One command-line request in a fresh process: its exit code, the
+    dendralg modules present once the CLI is imported, and those executed
+    by the end.  A module bound for loading on first use is told apart
+    without loading it: its type is not plain ModuleType until it runs."""
+    return json.loads(_fresh(_REQUEST_SCRIPT, *argv))
+
+
+def test_an_axioms_request_never_executes_the_unused_modules():
+    out = _request("verify", "--suite", "axioms", "--structure", "shuffle",
+                   "--degree", "3")
+    assert out["code"] == 0
+    assert {f"dendralg.{m}" for m in LAZY} <= set(out["imported"])
+    assert not {f"dendralg.{m}" for m in LAZY} & set(out["executed"])
+
+
+def test_a_census_request_executes_lyndon():
+    out = _request("verify", "--suite", "census")
+    assert out["code"] == 0
+    assert "dendralg.lyndon" in out["executed"]
+
+
+def test_importing_the_cli_enters_every_traced_module():
+    """The tracer looks each LAYERS module up in sys.modules right after
+    importing the CLI, so every one must be there by then."""
+    out = _request("list-suites")
+    layers = _load("tracing.py")["LAYERS"]
+    assert {f"dendralg.{m}" for m in layers} <= set(out["imported"])
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dendralg"

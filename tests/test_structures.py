@@ -559,7 +559,10 @@ def test_weight_check_memory_does_not_grow_with_the_pair_count():
 
 _RETAINED_SCRIPT = """
 import gc, tracemalloc
-from dendralg import Options, run_suites
+from dendralg import Options, run_suites, suites
+# the suites execute these modules on first use; module code is no memo
+for module in (suites.hopf, suites.lyndon, suites.magnus):
+    module.__name__
 tracemalloc.start()
 baseline = tracemalloc.get_traced_memory()[0]
 reports = run_suites(["magnus"], Options(structure="mr", cap=5))
