@@ -33,8 +33,19 @@ class UsageError(Exception):
     """Raised for configuration problems that should exit with code 2."""
 
 
-EXPAND_OPS = ("w-right", "w-left", "ell", "r", "dynkin", "antipode",
-              "comp-right", "comp-left")
+# op -> its value at (structure, generator, n); hopf is reached only
+# through the lambdas, so building the table executes no lazy module
+_EXPANSIONS = {
+    "w-right": w_right,
+    "w-left": w_left,
+    "ell": lambda S, a, n: ell(S, *([a] * n)),
+    "r": lambda S, a, n: r_fold(S, *([a] * n)),
+    "dynkin": lambda S, a, n: hopf.dynkin_w(S, a, n),
+    "antipode": lambda S, a, n: hopf.w_antipode(S, a, n),
+    "comp-right": lambda S, a, n: hopf.w_right_from_compositions(S, a, n),
+    "comp-left": lambda S, a, n: hopf.w_left_from_compositions(S, a, n),
+}
+EXPAND_OPS = tuple(_EXPANSIONS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact verification suites for dendriform identities")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list-suites", help="show the suite catalogue")
+    sub.add_parser("list-suites", help="show the suite catalogue"
+                   ).set_defaults(handler=_cmd_list_suites)
 
     def common(p, with_suite=False):
         if with_suite:
@@ -58,24 +70,28 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="PRNG seed for random-element checks (default 0)")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    common(sub.add_parser("verify", help="run verification suites"),
-           with_suite=True)
+    verify = sub.add_parser("verify", help="run verification suites")
+    common(verify, with_suite=True)
+    verify.set_defaults(handler=_cmd_verify)
 
     census = sub.add_parser("census", help="tabulate permutations by E-block type")
     census.add_argument("--n", type=int, default=5)
     census.add_argument("--format", choices=("text", "json"), default="text")
+    census.set_defaults(handler=_cmd_census)
 
     pbw = sub.add_parser("pbw", help="print a bracketed E-block expansion")
     pbw.add_argument("--n", type=int, default=4)
     pbw.add_argument("--beta", help="relabelling in one-line notation, e.g. 4,3,2,1 "
                                     "(default: the order reversal of size n)")
     pbw.add_argument("--format", choices=("text", "json"), default="text")
+    pbw.set_defaults(handler=_cmd_pbw)
 
     mg = sub.add_parser("magnus", help="run the Magnus checks, optionally "
                                        "printing the omega coefficients")
     common(mg)
     mg.add_argument("--emit-omega", action="store_true",
                     help="print each omega coefficient")
+    mg.set_defaults(handler=_cmd_magnus)
 
     ex = sub.add_parser("expand", help="print one expansion of a generator")
     ex.add_argument("--structure", required=True)
@@ -84,6 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--theta")
     ex.add_argument("--seed", type=int, default=0)
     ex.add_argument("--format", choices=("text", "json"), default="text")
+    ex.set_defaults(handler=_cmd_expand)
     return parser
 
 
@@ -157,7 +174,7 @@ def _emit_reports(reports, fmt: str) -> int:
     return 0 if all(rep.status == "pass" for rep in reports) else 1
 
 
-def _cmd_list_suites() -> int:
+def _cmd_list_suites(args) -> int:
     width = max(len(name) for name in SUITES)
     for name, (_, description) in SUITES.items():
         print(f"{name:<{width}}  {description}")
@@ -271,17 +288,7 @@ def _cmd_expand(args) -> int:
         raise UsageError(f"op {args.op} needs --n >= 1")
     S = _structure(args.structure, _theta(args))
     a = S.generator(args.seed)
-    ops = {
-        "w-right": lambda: w_right(S, a, args.n),
-        "w-left": lambda: w_left(S, a, args.n),
-        "ell": lambda: ell(S, *([a] * args.n)),
-        "r": lambda: r_fold(S, *([a] * args.n)),
-        "dynkin": lambda: hopf.dynkin_w(S, a, args.n),
-        "antipode": lambda: hopf.w_antipode(S, a, args.n),
-        "comp-right": lambda: hopf.w_right_from_compositions(S, a, args.n),
-        "comp-left": lambda: hopf.w_left_from_compositions(S, a, args.n),
-    }
-    value = ops[args.op]()
+    value = _EXPANSIONS[args.op](S, a, args.n)
     if args.format == "json":
         print(json.dumps({"structure": args.structure, "op": args.op,
                           "n": args.n, "generator": a.render(),
@@ -294,26 +301,12 @@ def _cmd_expand(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "list-suites":
-            return _cmd_list_suites()
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "census":
-            return _cmd_census(args)
-        if args.command == "pbw":
-            return _cmd_pbw(args)
-        if args.command == "magnus":
-            return _cmd_magnus(args)
-        if args.command == "expand":
-            return _cmd_expand(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except UsageError as exc:
         print(f"dendralg: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

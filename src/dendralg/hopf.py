@@ -29,7 +29,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .dendriform import DendriformStructure, w_right
+from .dendriform import DendriformStructure, ell, r, w_right
 from .errors import EmptyWord, NormalizationError, SortMismatch
 from .ncalg import (
     BasisSort, Elem, Series, Word, WORD_SORT, _accumulate, _words,
@@ -282,14 +282,18 @@ def comp_mul(x: Elem, y: Elem) -> Elem:
         for c1, a in x._terms.items() for c2, b in y._terms.items()]))
 
 
+def _comp_elem(x) -> Elem:
+    """A composition element; a bare composition tuple becomes its term."""
+    return Elem.term(COMP_SORT, x) if isinstance(x, tuple) else x
+
+
 def comp_coproduct(x) -> dict:
     """Coproduct as a map (left key, right key) -> coefficient.
 
     The generator (n) splits as sum of (m) tensor (n-m); the extension to
     products is multiplicative.  The result is cocommutative.
     """
-    if isinstance(x, tuple):
-        x = Elem.term(COMP_SORT, x)
+    x = _comp_elem(x)
     out: dict = {}
     for key, coeff in x.items():
         pairs = {((), ()): 1}
@@ -318,8 +322,7 @@ def _generator_antipode(n: int) -> Elem:
 
 def comp_antipode(x) -> Elem:
     """Antipode: anti-morphism extending the generator recursion."""
-    if isinstance(x, tuple):
-        x = Elem.term(COMP_SORT, x)
+    x = _comp_elem(x)
     parts = []
     for key, coeff in x.items():
         term = Elem.unit(COMP_SORT)
@@ -331,15 +334,12 @@ def comp_antipode(x) -> Elem:
 
 def comp_grading(x) -> Elem:
     """The grading operator N: scale each composition by its total degree."""
-    if isinstance(x, tuple):
-        x = Elem.term(COMP_SORT, x)
+    x = _comp_elem(x)
     return Elem(COMP_SORT, [(key, coeff * sum(key)) for key, coeff in x.items()])
 
 
 def comp_dynkin_apply(x) -> Elem:
     """The Dynkin operator S * N in the composition basis."""
-    if isinstance(x, tuple):
-        x = Elem.term(COMP_SORT, x)
     parts = []
     for (lft, rgt), c in comp_coproduct(x).items():
         graded = comp_grading(rgt)
@@ -359,8 +359,7 @@ def comp_dynkin(n: int) -> Elem:
 
 def eval_comp(S: DendriformStructure, a: Elem, x) -> Elem:
     """Evaluate a composition element: (i1..ik) becomes w>(i1) * ... * w>(ik)."""
-    if isinstance(x, tuple):
-        x = Elem.term(COMP_SORT, x)
+    x = _comp_elem(x)
     w = functools.cache(lambda i: w_right(S, a, i))
     parts = []
     for key, coeff in x.items():
@@ -446,8 +445,6 @@ def w_right_from_compositions(S: DendriformStructure, a: Elem, n: int) -> Elem:
     Sum over compositions (i1..ik) of n of
     ell(i1)(a) * ... * ell(ik)(a) / (i1(i1+i2)...(i1+...+ik)).
     """
-    from .dendriform import ell
-
     block = functools.cache(lambda i: ell(S, *([a] * i)))
     return _composition_sum(n, block, S.star, S.unit())
 
@@ -459,8 +456,6 @@ def w_left_from_compositions(S: DendriformStructure, a: Elem, n: int) -> Elem:
     r(ik)(a) * ... * r(i1)(a) / (i1(i1+i2)...(i1+...+ik)): the blocks multiply
     in reversed composition order while the denominator keeps the original.
     """
-    from .dendriform import r
-
     block = functools.cache(lambda i: r(S, *([a] * i)))
     return _composition_sum(n, block, lambda term, b: S.star(b, term),
                             S.unit())

@@ -6,10 +6,13 @@ new-from-the-right minimum gives the F-blocks.  Feeding the E-block values
 into iterated left pre-Lie products and multiplying gives T(sigma); the
 F-blocks with iterated right pre-Lie products give U(sigma).  Summed over the
 symmetric group these match the symmetrized dendriform half-products: the
-noncommutative Bohnenblust-Spitzer identity, checked here by exhaustive sweep.
-Every chain and pre-Lie block word of the sweep is one memoized fold over a
-tuple of argument indices (`_folds`); T and U peel their last block off the
-index tuple.
+noncommutative Bohnenblust-Spitzer identity.  By bilinearity each such sum
+is a recursion over subsets of the argument indices (`_chains`; `t` in
+`e_block_sum` peels the last E-block), memoized on index bitmasks within
+one call: O(3^n) products where the orders number n!.  The left identity
+is the right one in the opposite structure, U(sigma; S, a) = (-1)^(n-1)
+T(omega(sigma); opposite(S), reversed a), so only the right sums recurse.
+`t_sigma` and `u_sigma` build one permutation's products literally.
 
 The E-blocks are also the Chen-Fox-Lyndon factorization of the permutation
 word for the decreasing letter order, computed independently by Duval's
@@ -27,16 +30,17 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .dendriform import DendriformStructure, ell, prelie_left, prelie_right, r
+from .dendriform import DendriformStructure, ell, opposite, prelie_left, r
 from .errors import EmptyArgumentList, EmptyWord
 from .hopf import _bracket_product, comp_denominator
 from .ncalg import Elem, Perm, _accumulate, _words, elem_sum
 
 __all__ = [
     "Profile", "profile", "omega_conjugate", "t_sigma", "u_sigma",
-    "spitzer_sums", "right_chain_sum", "e_block_sum", "left_chain_sum",
-    "f_block_sum", "bohnenblust_spitzer_check", "is_lyndon", "cfl_factorize",
-    "lyn_set", "pbw_expansion", "lyndon_census", "census_formula",
+    "spitzer_sums", "chain_sum", "right_chain_sum", "e_block_sum",
+    "left_chain_sum", "f_block_sum", "bohnenblust_spitzer_check", "is_lyndon",
+    "cfl_factorize", "lyn_set", "pbw_expansion", "lyndon_census",
+    "census_formula",
 ]
 
 
@@ -140,110 +144,109 @@ def u_sigma(S: DendriformStructure, sigma, args) -> Elem:
     return acc
 
 
-def _orders(args: list):
-    """Every permutation of the argument indices, as a tuple in reading order."""
-    if not args:
-        raise EmptyArgumentList("the symmetrized identities need arguments")
-    return itertools.permutations(range(len(args)))
+def _chains(args: list, op):
+    """The chain sums of op over the arguments, memoized within the call.
 
-
-def _folds(args: list, op):
-    """The left fold of op over argument indices, memoized within the call.
-
-    fold(i) = args[i] and fold(*idx) = op(fold(*idx[:-1]), args[idx[-1]]);
-    taken as varargs so that the cache key is the index tuple itself.  A
-    right-nested chain is the fold of op with its arguments swapped, read
-    over the indices backwards.
+    chain(m, rest) sums op(...op(op(a_m, a_j1), a_j2)..., a_jk) over the
+    orders j1..jk of the index bitmask rest: by bilinearity, chain(m, rest)
+    = sum over j in rest of op(chain(m, rest - j), a_j), and chain(m, 0) =
+    a_m.  This takes n 2^(n-1) memo entries where the orders number n!.
     """
     @functools.cache
-    def fold(*idx: int) -> Elem:
-        if len(idx) == 1:
-            return args[idx[0]]
-        return op(fold(*idx[:-1]), args[idx[-1]])
+    def chain(m: int, rest: int) -> Elem:
+        if not rest:
+            return args[m]
+        return elem_sum(args[m].sort, (
+            op(chain(m, rest & ~(1 << j)), args[j])
+            for j in range(len(args)) if rest >> j & 1))
 
-    return fold
+    return chain
+
+
+def chain_sum(args, op) -> Elem:
+    """Sum over the symmetric group of op(...op(op(a_s1, a_s2), a_s3)...,
+    a_sn): the sum over the first index m of chain(m, every other index)."""
+    args = list(args)
+    if not args:
+        raise EmptyArgumentList("the symmetrized identities need arguments")
+    chain, full = _chains(args, op), (1 << len(args)) - 1
+    return elem_sum(args[0].sort,
+                    (chain(m, full & ~(1 << m)) for m in range(len(args))))
 
 
 def right_chain_sum(S: DendriformStructure, args) -> Elem:
     """Sum over the symmetric group of the left-nested > chains
-    (...(a_s1 > a_s2) > ...) > a_sn.
-
-    A permutation is the tuple of argument indices in reading order; the
-    chains are the folds of >.
-    """
-    args = list(args)
-    chain = _folds(args, S.right)
-    return elem_sum(S.sort, (chain(*image) for image in _orders(args)))
-
-
-def left_chain_sum(S: DendriformStructure, args) -> Elem:
-    """Sum over the symmetric group of the right-nested < chains
-    a_s1 < (a_s2 < ... (a_s(n-1) < a_sn)...).
-
-    The chain of a permutation is the swapped fold over it read backwards;
-    as reading backwards permutes the symmetric group, each fold is summed
-    over the permutation it is read from.
-    """
-    args = list(args)
-    chain = _folds(args, lambda acc, a: S.left(a, acc))
-    return elem_sum(S.sort, (chain(*image) for image in _orders(args)))
+    (...(a_s1 > a_s2) > ...) > a_sn."""
+    return chain_sum(args, S.right)
 
 
 def e_block_sum(S: DendriformStructure, args) -> Elem:
     """Sum of T(sigma), the E-block pre-Lie products, over the symmetric group.
 
-    t(idx) = t(idx[:m]) * ell(idx[m:]) with m the position of max(idx), as
-    the last E-block starts at the global maximum, and t(()) = 1; peeling
-    the last block keeps the star products in reading order.  The block
-    words are the folds of the left pre-Lie product; T is not memoized, as
-    caching it raises peak memory and saves no time.
+    The last E-block starts at the largest index top of the indices s in
+    play, and any subset b of the others may follow it in any order:
+    t(s) = sum over b in s - top of t(s - top - b) * ell(top, b), with t(0)
+    = 1 and ell(top, b) the chain sum of the left pre-Lie product.  So t
+    takes O(3^n) star products, memoized within the call.
     """
     args = list(args)
-    ell_at = _folds(args, functools.partial(prelie_left, S))
+    if not args:
+        raise EmptyArgumentList("the symmetrized identities need arguments")
+    ell_at = _chains(args, functools.partial(prelie_left, S))
     unit = S.unit()
 
-    def t(idx: tuple) -> Elem:
-        if not idx:
+    @functools.cache
+    def t(s: int) -> Elem:
+        if not s:
             return unit
-        m = idx.index(max(idx))
-        return S.star(t(idx[:m]), ell_at(*idx[m:]))
+        top = s.bit_length() - 1
+        low = s & ~(1 << top)
+        parts, b = [], low
+        while True:
+            parts.append(S.star(t(low & ~b), ell_at(top, b)))
+            if not b:
+                return elem_sum(S.sort, parts)
+            b = (b - 1) & low
 
-    return elem_sum(S.sort, (t(image) for image in _orders(args)))
+    return t((1 << len(args)) - 1)
+
+
+def _dual(right_sum, op: DendriformStructure, args) -> Elem:
+    """(-1)^(n-1) right_sum(op, reversed args): with op the opposite of S,
+    where a >' b = -(b < a), the left form of right_sum on S."""
+    args = list(args)
+    out = right_sum(op, args[::-1])
+    return out if len(args) % 2 else -out
+
+
+def left_chain_sum(S: DendriformStructure, args) -> Elem:
+    """Sum over the symmetric group of the right-nested < chains
+    a_s1 < (a_s2 < ... (a_s(n-1) < a_sn)...): the > chains of the opposite
+    structure, by duality."""
+    return _dual(right_chain_sum, opposite(S), args)
 
 
 def f_block_sum(S: DendriformStructure, args) -> Elem:
-    """Sum of U(sigma), the F-block pre-Lie products, over the symmetric group.
-
-    u(idx) = u(idx[:m]) * r(idx[m:]) with m one past the last position
-    holding a value below idx[-1], as the last F-block ends at its own
-    minimum, and u(()) = 1.  The right-nested block words are the swapped
-    folds of the right pre-Lie product, read over each block backwards.
-    """
-    args = list(args)
-    r_at = _folds(args, lambda acc, a: prelie_right(S, a, acc))
-    unit = S.unit()
-
-    def u(idx: tuple) -> Elem:
-        if not idx:
-            return unit
-        m = max((p + 1 for p, v in enumerate(idx) if v < idx[-1]), default=0)
-        return S.star(u(idx[:m]), r_at(*reversed(idx[m:])))
-
-    return elem_sum(S.sort, (u(image) for image in _orders(args)))
+    """Sum of U(sigma), the F-block pre-Lie products, over the symmetric
+    group: the E-block sum of the opposite structure, by duality."""
+    return _dual(e_block_sum, opposite(S), args)
 
 
 def spitzer_sums(S: DendriformStructure, args) -> dict:
     """The four symmetric-group sums of the Bohnenblust-Spitzer identities.
 
-    right_chain, t_sum, left_chain and u_sum, from the four functions above;
-    they share no intermediate result, so each keeps its own memos.
+    right_chain and t_sum are subset recursions on S; left_chain and u_sum
+    are the same two recursions on the opposite structure, built once here
+    so that both share its product tables.  Each recursion memoizes only
+    within its own call.
     """
     args = list(args)
+    op = opposite(S)
     return {
         "right_chain": right_chain_sum(S, args),
         "t_sum": e_block_sum(S, args),
-        "left_chain": left_chain_sum(S, args),
-        "u_sum": f_block_sum(S, args),
+        "left_chain": _dual(right_chain_sum, op, args),
+        "u_sum": _dual(e_block_sum, op, args),
     }
 
 

@@ -89,7 +89,7 @@ class Word(tuple):
 
     def __init__(self, letters: Iterable[int]):
         for a in self:
-            if not isinstance(a, int) or a < 1:
+            if type(a) is not int or a < 1:
                 raise ValueError(f"letters must be positive integers, got {a!r}")
 
     def __add__(self, other: "Word") -> "Word":
@@ -118,7 +118,8 @@ class Perm(tuple):
 
     def __init__(self, image: Iterable[int]):
         n = len(self)
-        if sorted(self) != list(range(1, n + 1)):
+        if (any(type(v) is not int for v in self)
+                or sorted(self) != list(range(1, n + 1))):
             raise InvalidPermutation(f"not one-line data for S_{n}: {tuple(self)}")
 
     def __call__(self, i: int) -> int:

@@ -123,8 +123,10 @@ class MaxStructure(_WordStructure):
         self.name = "max" if order == "increasing" else "max-rev"
 
     def generator(self, seed: int = 0) -> Elem:
-        """x1 + x2 rather than the default x1: as x1 > x1 = 0, every right
-        power sum of x1 vanishes, while a letter sum keeps brackets nonzero."""
+        """x1 + x2 rather than the default x1: as x1 > x1 = 0, w>(n) of x1
+        vanishes for n >= 2, while x1 + x2 keeps w>(1) and w>(2) nonzero.
+        w>(n) sums strictly increasing words, so on 3 letters it vanishes
+        for n >= 4 whatever the generator, and for n >= 3 on x1 + x2."""
         return self.elem(Word((1,))) + self.elem(Word((2,)))
 
     def _top(self, w: Word) -> int:
@@ -198,8 +200,8 @@ class Tree(tuple):
     def __new__(cls, left: "Tree | None" = None, right: "Tree | None" = None):
         if left is None and right is None:
             return tuple.__new__(cls, ())
-        if left is None or right is None:
-            raise ValueError("a tree node needs both children")
+        if not (isinstance(left, Tree) and isinstance(right, Tree)):
+            raise ValueError("a tree node needs two Tree children")
         return tuple.__new__(cls, (left, right))
 
     left = property(lambda self: self[0] if self else None)

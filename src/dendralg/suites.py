@@ -386,11 +386,8 @@ def _rb_nested_sums(S: RBStructure, args: list) -> tuple:
     summed over sigma, each fold is taken over the permutation it is read
     from.
     """
-    first = lyndon._folds(args, lambda acc, a: S.carrier_mul(S.R(acc), a))
-    second = lyndon._folds(args, lambda acc, a: S.carrier_mul(a, S.R(acc)))
-    perms = list(itertools.permutations(range(len(args))))
-    return (elem_sum(S.sort, (first(*image) for image in perms)),
-            elem_sum(S.sort, (second(*image) for image in perms)))
+    return (lyndon.chain_sum(args, lambda acc, a: S.carrier_mul(S.R(acc), a)),
+            lyndon.chain_sum(args, lambda acc, a: S.carrier_mul(a, S.R(acc))))
 
 
 def _rb_corollary(run: _Run, S, n: int, seed: int) -> tuple | None:

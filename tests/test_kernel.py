@@ -20,6 +20,7 @@ from dendralg import (
 )
 from dendralg.errors import SortMismatch
 from dendralg.ncalg import PERM_SORT, WORD_SORT, linear_combination
+from dendralg.lyndon import e_block_sum, right_chain_sum
 from dendralg.magnus import prelie_word_series
 from dendralg.structures import LEAF, FreeStructure, MRStructure, Tree
 
@@ -266,10 +267,15 @@ class CountingMR(MRStructure):
     def __init__(self):
         super().__init__()
         self.star_calls = 0
+        self.right_calls = 0
 
     def star(self, x, y):
         self.star_calls += 1
         return super().star(x, y)
+
+    def right(self, x, y):
+        self.right_calls += 1
+        return super().right(x, y)
 
 
 def test_self_test_calls_basis_left_only_for_admissible_triples():
@@ -389,3 +395,17 @@ def test_magnus_omega_star_calls_are_cubic_in_the_cap():
     full = CountingMR()
     assert full_series_omega(full, a, cap) == omega
     assert full.star_calls > bound
+
+
+def test_symmetric_group_sums_take_3_to_the_n_products_not_n_factorial():
+    """The subset recursions of e_block_sum and right_chain_sum stay within
+    3^n products at n = 6, where a sweep over the 720 orders needs more."""
+    n = 6
+    bound = 3 ** n
+    blocks, chains = CountingMR(), CountingMR()
+    rng = random.Random(0)
+    args = [random_element(blocks, rng, max_degree=1, nterms=1)
+            for _ in range(n)]
+    assert e_block_sum(blocks, args) == right_chain_sum(chains, args)
+    assert 0 < blocks.star_calls <= bound
+    assert 0 < chains.right_calls <= bound

@@ -47,6 +47,14 @@ class TestWord:
         assert hash(w(1, 2)) == hash(w(1, 2))
         assert w(1, 2) != w(2, 1)
 
+    @pytest.mark.parametrize("letters", [(0,), (1, -2), (True, 2), (1.0,),
+                                         ("1",)])
+    def test_rejects_letters_that_are_not_positive_ints(self, letters):
+        """Only a plain int is a letter: a bool or a float would render as
+        xTrue or x1.0."""
+        with pytest.raises(ValueError):
+            Word(letters)
+
 
 class TestPerm:
     def test_basics(self):
@@ -69,6 +77,13 @@ class TestPerm:
 
     @pytest.mark.parametrize("image", [(1, 3), (2, 2), (0, 1)])
     def test_rejects_non_permutations(self, image):
+        with pytest.raises(InvalidPermutation):
+            Perm(image)
+
+    @pytest.mark.parametrize("image", [(1.0, 2.0), (True, 2), (2, True)])
+    def test_rejects_entries_that_are_not_ints(self, image):
+        """Equal to 1..n is not enough: a float or bool entry would render
+        as p1.0.2.0 or pTrue.2."""
         with pytest.raises(InvalidPermutation):
             Perm(image)
 

@@ -255,6 +255,11 @@ class TestFree:
             TREE_SORT.check(((), ()))
         with pytest.raises(ValueError):
             Tree(LEAF)
+        # plain tuples are not subtrees: their str, repr and deg would fail
+        for left, right in (((), ()), (LEAF, ()), ((), LEAF),
+                            (Tree(LEAF, LEAF), ((), ()))):
+            with pytest.raises(ValueError):
+                Tree(left, right)
 
     def test_star_degree_additivity(self, free):
         g = free.generator()
