@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 # submodule -> the names the package re-exports from it
 _EXPORTS = {
     "dendriform": (
-        "DendriformStructure", "OppositeStructure", "assoc", "ell",
+        "DendriformStructure", "OppositeStructure", "ell",
         "lie_bracket", "opposite", "prelie_left", "prelie_right", "r",
         "w_left", "w_right",
     ),
@@ -48,7 +48,7 @@ _EXPORTS = {
     ),
     "ncalg": (
         "Elem", "Perm", "Series", "Word", "multilinear_part",
-        "parse_word_elem", "series_inverse", "series_mul",
+        "series_inverse", "series_mul",
     ),
     "structures": (
         "STANDARD_SELECTORS", "FreeStructure", "MaxStructure", "MRStructure",

@@ -57,13 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-suites", help="show the suite catalogue"
                    ).set_defaults(handler=_cmd_list_suites)
 
-    def common(p, with_suite=False):
-        if with_suite:
-            p.add_argument("--suite", help="suite name (default: all)")
+    def common(p):
         p.add_argument("--structure", help="structure selector, e.g. shuffle "
                                            "or rb-seqmat:theta=1,k=2,N=4")
-        p.add_argument("--n", type=int, help="size bound / sweep size")
-        p.add_argument("--degree", type=int, help="basis degree bound")
         p.add_argument("--cap", type=int, help="series truncation order")
         p.add_argument("--theta", help="weight for operator structures, e.g. 2/3")
         p.add_argument("--seed", type=int, default=0,
@@ -71,7 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     verify = sub.add_parser("verify", help="run verification suites")
-    common(verify, with_suite=True)
+    verify.add_argument("--suite", help="suite name (default: all)")
+    verify.add_argument("--n", type=int, help="size bound / sweep size")
+    verify.add_argument("--degree", type=int, help="basis degree bound")
+    common(verify)
     verify.set_defaults(handler=_cmd_verify)
 
     census = sub.add_parser("census", help="tabulate permutations by E-block type")
@@ -91,7 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(mg)
     mg.add_argument("--emit-omega", action="store_true",
                     help="print each omega coefficient")
-    mg.set_defaults(handler=_cmd_magnus)
+    # _options reads n and degree; magnus takes neither
+    mg.set_defaults(handler=_cmd_magnus, n=None, degree=None)
 
     ex = sub.add_parser("expand", help="print one expansion of a generator")
     ex.add_argument("--structure", required=True)
@@ -264,10 +264,13 @@ def _cmd_pbw(args) -> int:
 
 
 def _cmd_magnus(args) -> int:
+    if args.emit_omega and args.format == "json":
+        raise UsageError("--emit-omega prints text; it cannot be combined "
+                         "with --format json")
     options, S = _options(args, ["magnus"])
     reports = run_suites(["magnus"], options)
     code = _emit_reports(reports, args.format)
-    if args.emit_omega and args.format == "text":
+    if args.emit_omega:
         cap = MAGNUS_CAP if options.cap is None else options.cap
         if S is not None:
             targets = [(options.structure, S)]

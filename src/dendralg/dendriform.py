@@ -23,7 +23,7 @@ from .ncalg import (
 
 __all__ = [
     "DendriformStructure", "OppositeStructure",
-    "assoc", "prelie_left", "prelie_right", "lie_bracket",
+    "prelie_left", "prelie_right", "lie_bracket",
     "w_left", "w_right", "ell", "r", "opposite",
 ]
 
@@ -253,11 +253,6 @@ class OppositeStructure(DendriformStructure):
 
     def basis_keys(self, max_degree):
         return self.base.basis_keys(max_degree)
-
-
-def assoc(S: DendriformStructure, x: Elem, y: Elem) -> Elem:
-    """The associative product of the structure (unital)."""
-    return S.star(x, y)
 
 
 def prelie_left(S: DendriformStructure, x: Elem, y: Elem) -> Elem:

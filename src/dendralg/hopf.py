@@ -42,7 +42,7 @@ __all__ = [
     "convolution_expansion", "ordered_partition_expansion",
     "COMP_SORT", "compositions", "comp_denominator", "comp_elem", "comp_mul",
     "comp_coproduct", "comp_antipode", "comp_grading", "comp_dynkin",
-    "comp_dynkin_apply", "w_coproduct", "w_antipode", "dynkin_w", "eval_comp",
+    "comp_dynkin_apply", "w_antipode", "dynkin_w", "eval_comp",
     "gamma", "gamma_coeffs", "w_right_from_compositions",
     "w_left_from_compositions",
 ]
@@ -368,11 +368,6 @@ def eval_comp(S: DendriformStructure, a: Elem, x) -> Elem:
             term = S.star(term, w(part))
         parts.append((term, coeff))
     return linear_combination(S.sort, parts)
-
-
-def w_coproduct(n: int) -> dict:
-    """Coproduct of the degree-n power-sum generator, as composition pairs."""
-    return comp_coproduct((n,))
 
 
 def w_antipode(S: DendriformStructure, a: Elem, n: int) -> Elem:

@@ -38,7 +38,7 @@ from .ncalg import Elem, Perm, _accumulate, _words, elem_sum
 __all__ = [
     "Profile", "profile", "omega_conjugate", "t_sigma", "u_sigma",
     "spitzer_sums", "chain_sum", "right_chain_sum", "e_block_sum",
-    "left_chain_sum", "f_block_sum", "bohnenblust_spitzer_check", "is_lyndon",
+    "f_block_sum", "bohnenblust_spitzer_check", "is_lyndon",
     "cfl_factorize", "lyn_set", "pbw_expansion", "lyndon_census",
     "census_formula",
 ]
@@ -217,13 +217,6 @@ def _dual(right_sum, op: DendriformStructure, args) -> Elem:
     args = list(args)
     out = right_sum(op, args[::-1])
     return out if len(args) % 2 else -out
-
-
-def left_chain_sum(S: DendriformStructure, args) -> Elem:
-    """Sum over the symmetric group of the right-nested < chains
-    a_s1 < (a_s2 < ... (a_s(n-1) < a_sn)...): the > chains of the opposite
-    structure, by duality."""
-    return _dual(right_chain_sum, opposite(S), args)
 
 
 def f_block_sum(S: DendriformStructure, args) -> Elem:

@@ -37,7 +37,6 @@ which `Elem.support` reads; nothing compares keys with < or >.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -138,9 +137,6 @@ class Perm(tuple):
         if len(self) != len(other):
             raise InvalidPermutation("can only compose permutations of equal size")
         return Perm._trusted([self[v - 1] for v in other])
-
-    def as_word(self) -> Word:
-        return Word._trusted(self)
 
     def __str__(self) -> str:
         return "p" + ".".join(str(v) for v in self) if self else "1"
@@ -336,18 +332,8 @@ class Elem:
     def unit_coeff(self) -> Scalar:
         return self._terms.get(self.sort.unit_key, 0)
 
-    def without_unit(self) -> "Elem":
-        if self.sort.unit_key not in self._terms:
-            return self
-        rest = dict(self._terms)
-        del rest[self.sort.unit_key]
-        return Elem._trusted(self.sort, rest)
-
     def is_zero(self) -> bool:
         return not self._terms
-
-    def is_unit_free(self) -> bool:
-        return self.sort.unit_key not in self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -465,46 +451,6 @@ def _perms(counts: dict) -> Elem:
                          {Perm._trusted(t): c for t, c in counts.items()})
 
 
-_TERM_RE = re.compile(r"^(?:(\d+(?:/\d+)?)\*)?(1|x\d+(?:\.x\d+)*)$")
-
-
-def parse_word_elem(text: str) -> Elem:
-    """Parse the rendered word-element grammar back into an Elem.
-
-    Accepts the ASCII forms emitted by render() plus the typographic minus and
-    middle-dot variants.
-
-    >>> parse_word_elem("x1.x2 - x2.x1") == parse_word_elem("x1.x2 − x2.x1")
-    True
-    >>> parse_word_elem("3/2*x1 + 1").coeff(Word((1,)))
-    Fraction(3, 2)
-    """
-    s = text.strip().replace("−", "-").replace("·", "*")
-    if s in ("", "0"):
-        return Elem(WORD_SORT)
-    if s[0] not in "+-":
-        s = "+" + s
-    pieces = re.findall(r"([+-])([^+-]+)", s)
-    if "".join(sign + body for sign, body in pieces) != s:
-        raise ValueError(f"cannot parse element: {text!r}")
-    terms = []
-    for sign, body in pieces:
-        body = body.replace(" ", "")
-        m = _TERM_RE.match(body)
-        if not m:
-            raise ValueError(f"cannot parse term: {body!r}")
-        coeff = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-        if sign == "-":
-            coeff = -coeff
-        atom = m.group(2)
-        if atom == "1":
-            word = Word(())
-        else:
-            word = Word(tuple(int(part[1:]) for part in atom.split(".")))
-        terms.append((word, coeff))
-    return Elem(WORD_SORT, terms)
-
-
 def multilinear_part(e: Elem) -> Elem:
     """Keep only words in which no letter repeats (the multilinear span)."""
     if e.sort != WORD_SORT:
@@ -568,37 +514,17 @@ class Series:
     def __sub__(self, other: "Series") -> "Series":
         return self._binop(other, lambda a, b: a - b)
 
-    def __neg__(self) -> "Series":
-        return Series(self.sort, [-c for c in self.coeffs], self.cap)
-
     def scale(self, c) -> "Series":
         return Series(self.sort, [x.scale(c) for x in self.coeffs], self.cap)
-
-    def shift(self, k: int = 1) -> "Series":
-        """Multiply by t^k (coefficients beyond the cap fall away)."""
-        coeffs = [Elem(self.sort)] * k + list(self.coeffs)
-        return Series(self.sort, coeffs[: self.cap + 1], self.cap)
 
     def t_derivative(self) -> "Series":
         """Apply t d/dt: the n-th coefficient becomes n*c_n."""
         return Series(self.sort, [c.scale(n) for n, c in enumerate(self.coeffs)],
                       self.cap)
 
-    def truncate(self, cap: int) -> "Series":
-        if cap >= self.cap:
-            return self
-        return Series(self.sort, self.coeffs[: cap + 1], cap)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Series) and self.sort == other.sort
                 and self.cap == other.cap and self.coeffs == other.coeffs)
-
-    def agrees(self, other: "Series") -> bool:
-        """Equality of all coefficients up to the smaller cap."""
-        if self.sort != other.sort:
-            raise SortMismatch("series over different basis sorts")
-        cap = min(self.cap, other.cap)
-        return self.coeffs[: cap + 1] == other.coeffs[: cap + 1]
 
     def first_difference(self, other: "Series") -> int | None:
         cap = min(self.cap, other.cap)

@@ -191,6 +191,21 @@ class TestMagnusCommand:
                  if line.startswith("  t^")]
         assert lines == [f"t^{d}" for d in range(1, 7)]
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--n", "3"), "unrecognized arguments: --n 3"),
+        (("--degree", "2"), "unrecognized arguments: --degree 2"),
+        (("--emit-omega", "--format", "json"), "--emit-omega prints text"),
+    ])
+    def test_options_it_would_ignore_are_usage_errors(self, capsys, argv,
+                                                      message):
+        try:
+            code = main(["magnus", "--structure", "free", *argv])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
+
 
 class TestExpandCommand:
     @pytest.mark.parametrize("op", ["w-right", "w-left", "ell", "r", "dynkin",
@@ -277,6 +292,21 @@ class TestExitCodeContract:
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("selector", [
+        "rb-seqmat:theta=1,k=2,N=8", "rb-seqmat:theta=2/3,k=3,N=7",
+        "rb-seqmat:theta=-1,k=2,N=12",
+    ])
+    def test_rb_spitzer_runs_no_commutative_checks_on_matrices(self, capsys,
+                                                               selector):
+        """k x k matrices with k >= 2 do not commute, so only the two R-image
+        checks apply; deciding that from sampled key pairs ran the
+        commutative-carrier checks on these and failed them."""
+        code, out, _ = run(capsys, "verify", "--suite", "rb-spitzer",
+                           "--structure", selector, "--n", "3",
+                           "--format", "json")
+        (report,) = json.loads(out)["reports"]
+        assert code == 0 and report["checks"] == 2
 
     @pytest.mark.parametrize("suite", ["rb-nested", "rb-spitzer"])
     def test_operator_suite_on_a_word_structure(self, capsys, suite):

@@ -8,7 +8,7 @@ import pytest
 from dendralg import (
     STANDARD_SELECTORS, AxiomCheckFailure, Elem, EmptyArgumentList,
     MaxStructure, RBStructure, ShuffleStructure, SortMismatch, UnitMisuse,
-    Word, assoc, ell, from_selector, lie_bracket, opposite, prelie_left,
+    Word, ell, from_selector, lie_bracket, opposite, prelie_left,
     prelie_right, r, w_left, w_right,
 )
 from dendralg.structures import SeqMatBackend
@@ -62,7 +62,6 @@ class TestDerivedProducts:
     def test_star_is_sum_of_halves(self, shuffle):
         for a, b in itertools.product(samples(shuffle), repeat=2):
             assert shuffle.star(a, b) == shuffle.left(a, b) + shuffle.right(a, b)
-            assert assoc(shuffle, a, b) == shuffle.star(a, b)
 
     def test_prelie_definitions(self, shuffle):
         a, b = samples(shuffle)[1], samples(shuffle)[2]

@@ -100,7 +100,7 @@ def test_the_command_line_loads_no_introspection_modules():
 
 # the names the package exports, by home module
 PUBLIC = {
-    "dendriform": "DendriformStructure OppositeStructure assoc ell lie_bracket "
+    "dendriform": "DendriformStructure OppositeStructure ell lie_bracket "
                   "opposite prelie_left prelie_right r w_left w_right",
     "errors": "AxiomCheckFailure DendralgError EmptyArgumentList EmptyWord "
               "InvalidPermutation NormalizationError RBWeightCheckFailure "
@@ -114,8 +114,8 @@ PUBLIC = {
               "spitzer_sums t_sigma u_sigma",
     "magnus": "bernoulli_numbers dynkin_ode_check magnus_omega "
               "power_sum_series star_exp star_log",
-    "ncalg": "Elem Perm Series Word multilinear_part parse_word_elem "
-             "series_inverse series_mul",
+    "ncalg": "Elem Perm Series Word multilinear_part series_inverse "
+             "series_mul",
     "structures": "STANDARD_SELECTORS FreeStructure MaxStructure MRStructure "
                   "RBStructure ShuffleStructure from_selector free_structure "
                   "max_structure mr_structure random_element "

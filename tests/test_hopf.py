@@ -15,7 +15,7 @@ from dendralg import (
 from dendralg.hopf import (
     COMP_SORT, GradedEndo, comp_dynkin_apply, comp_elem, comp_grading,
     comp_mul, concat_mul, convolve, counit_unit_endo, dynkin_degree_endo,
-    eval_comp, projection_endo, w_coproduct,
+    eval_comp, projection_endo,
 )
 from dendralg.magnus import power_sum_series, prelie_word_series
 from dendralg.ncalg import WORD_SORT, elem_sum
@@ -280,7 +280,7 @@ class TestCompHopf:
         assert comp_dynkin_apply(d) == n * d
 
     def test_power_sum_coproduct(self):
-        assert w_coproduct(3) == {
+        assert comp_coproduct((3,)) == {
             ((), (3,)): 1, ((1,), (2,)): 1, ((2,), (1,)): 1, ((3,), ()): 1}
 
 

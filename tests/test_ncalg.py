@@ -3,12 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from dendralg import (
     Elem, NormalizationError, Perm, Series, SortMismatch, Word,
-    InvalidPermutation, multilinear_part, parse_word_elem, series_inverse,
-    series_mul,
+    InvalidPermutation, multilinear_part, series_inverse, series_mul,
 )
 from dendralg.hopf import COMP_SORT, concat_mul
 from dendralg.ncalg import WORD_SORT
@@ -62,7 +60,7 @@ class TestPerm:
         assert p.n == 3
         assert [p(i) for i in (1, 2, 3)] == [3, 1, 2]
         assert p.inverse() == Perm((2, 3, 1))
-        assert p.as_word() == w(3, 1, 2)
+        assert Word(p) == w(3, 1, 2)
 
     def test_compose(self):
         p, q = Perm((2, 1, 3)), Perm((3, 1, 2))
@@ -120,9 +118,8 @@ class TestElem:
     def test_unit_handling(self):
         e = Elem.unit(WORD_SORT).scale(2) + x(1)
         assert e.unit_coeff == 2
-        assert e.without_unit() == x(1)
-        assert not e.is_unit_free()
-        assert x(1).is_unit_free()
+        assert e - Elem.unit(WORD_SORT).scale(e.unit_coeff) == x(1)
+        assert not x(1).unit_coeff
 
     def test_sort_mismatch(self):
         comp = Elem.term(COMP_SORT, (2,))
@@ -174,31 +171,6 @@ class TestRender:
         e = x(1) + x(2) + x(3) + x(4)
         assert e.render(max_terms=2).endswith(" + 2 more")
 
-    def test_parse_roundtrip(self):
-        e = x(1, 2).scale(Fraction(-5, 3)) + x(7) + Elem.unit(WORD_SORT)
-        assert parse_word_elem(e.render()) == e
-
-    def test_parse_typographic_variants(self):
-        assert parse_word_elem("x1.x2 − x2.x1") == x(1, 2) - x(2, 1)
-        assert parse_word_elem("3/2·x1") == x(1).scale(Fraction(3, 2))
-        assert parse_word_elem("0") == Elem.zero(WORD_SORT)
-        assert parse_word_elem("") == Elem.zero(WORD_SORT)
-
-    @pytest.mark.parametrize("bad", ["x", "x1..x2", "2*", "x1 +", "y3"])
-    def test_parse_rejects_garbage(self, bad):
-        with pytest.raises(ValueError):
-            parse_word_elem(bad)
-
-
-@given(st.lists(
-    st.tuples(
-        st.lists(st.integers(min_value=1, max_value=9), max_size=4),
-        st.fractions(max_denominator=12)),
-    max_size=6))
-def test_render_parse_is_identity(terms):
-    e = Elem(WORD_SORT, [(Word(tuple(ls)), c) for ls, c in terms])
-    assert parse_word_elem(e.render()) == e
-
 
 def test_multilinear_part():
     e = x(1, 2, 3) + x(1, 2, 1).scale(4) + x(2, 2)
@@ -224,25 +196,19 @@ class TestSeries:
         assert (f + g).cap == 2
         assert (f - g).coeff(1) == x(1) - x(2)
 
-    def test_shift_and_derivative(self):
+    def test_t_derivative(self):
         f = Series(WORD_SORT, [Elem.unit(WORD_SORT), x(1), x(2)], 2)
-        shifted = f.shift()
-        assert shifted.coeff(0).is_zero() and shifted.coeff(1) == Elem.unit(WORD_SORT)
         # t d/dt multiplies the degree-n coefficient by n
         d = f.t_derivative()
         assert d.coeff(0).is_zero()
         assert d.coeff(1) == x(1)
         assert d.coeff(2) == x(2).scale(2)
 
-    def test_truncate_agrees_first_difference(self):
+    def test_first_difference(self):
         f = Series(WORD_SORT, [x(1), x(2), x(3)], 2)
-        g = f.truncate(1)
-        assert g.cap == 1 and f.agrees(g)
         h = Series(WORD_SORT, [x(1), x(9), x(3)], 2)
         assert f.first_difference(h) == 1
         assert f.first_difference(f) is None
-        with pytest.raises(SortMismatch):
-            f.agrees(Series.zero(COMP_SORT, 2))
 
     def test_cauchy_product(self):
         f = Series(WORD_SORT, [Elem.unit(WORD_SORT), x(1)], 1)

@@ -401,6 +401,18 @@ class TestPolyMat:
         assert S.carrier_mul(e12, e12).is_zero()
 
 
+@pytest.mark.parametrize("selector", ["rb-polymat:k=1", "rb-polymat:k=2",
+                                      "rb-seqmat:theta=1,k=1,N=3",
+                                      "rb-seqmat:theta=1,k=2,N=3"])
+def test_carriers_commute_exactly_at_k_1(selector):
+    """rb-spitzer runs its commutative-carrier checks when k = 1."""
+    S = from_selector(selector)
+    elems = [S.elem(key) for key in S.basis_keys(1)]
+    commute = all(S.carrier_mul(a, b) == S.carrier_mul(b, a)
+                  for a, b in itertools.product(elems, repeat=2))
+    assert commute == (S.backend.k == 1)
+
+
 def _literal_nested_sums(S, args):
     """Both operator-nested sums, one literal loop per permutation, no memo."""
     first = second = S.zero()
@@ -635,7 +647,7 @@ class TestGenerators:
                                               rb_seq, rb_poly):
         for S in (shuffle, maxs, mr, free, rb_seq, rb_poly):
             a = S.generator()
-            assert a.is_unit_free() and not a.is_zero()
+            assert not a.unit_coeff and not a.is_zero()
 
     def test_sweep_args(self, shuffle, mr, free, rb_seq):
         assert shuffle.sweep_args(3) == [x(1), x(2), x(3)]
@@ -643,7 +655,7 @@ class TestGenerators:
         for S in (free, rb_seq):
             args = S.sweep_args(3, seed=5)
             assert args == S.sweep_args(3, seed=5) != S.sweep_args(3, seed=6)
-            assert all(a.is_unit_free() and not a.is_zero() for a in args)
+            assert all(not a.unit_coeff and not a.is_zero() for a in args)
         # one seeded draw: the generator is the first sweep argument
         assert rb_seq.generator(5) == rb_seq.sweep_args(3, seed=5)[0]
 
@@ -652,4 +664,4 @@ class TestGenerators:
         b = random_element(rb_seq, random.Random(3))
         assert a == b
         assert a != random_element(rb_seq, random.Random(4))
-        assert a.is_unit_free()
+        assert not a.unit_coeff
