@@ -17,7 +17,8 @@ from .errors import InvalidPermutation
 from .ncalg import Elem, Word, WORD_SORT
 from .structures import RBStructure, _rational, from_selector
 from .suites import (
-    MAGNUS_CAP, OPERATOR_SUITES, SUITES, Options, run_suites, suite_names,
+    MAGNUS_CAP, OPERATOR_SUITES, SUITE_OPTIONS, SUITES, Options, run_suites,
+    suite_names,
 )
 
 import argparse
@@ -123,13 +124,19 @@ def _structure(selector: str, theta):
 def _options(args, suites=()) -> tuple:
     """Validate the suite options once, for the suites about to run.
 
-    Sizes must be at least 1 when given, the theta and the structure
-    selector must parse, the operator suites need an operator structure, and
-    the axioms suite needs a degree bound that admits a triple.  Returns the
-    Options and the structure --structure selects, built once here (None
-    without --structure).
+    Sizes must be at least 1 when given, some requested suite must read
+    each option given (SUITE_OPTIONS), a --theta beside --structure must be
+    that structure's weight, the theta and the selector must parse, the
+    operator suites need an operator structure, and the axioms suite needs
+    a degree bound that admits a triple.  Returns the Options and the
+    structure --structure selects, built once here (None without it).
     """
     theta = _theta(args)
+    for name in ("structure", "n", "degree", "cap", "theta"):
+        if getattr(args, name) is None or name == "theta" and args.structure:
+            continue  # checked below against the structure's weight
+        if not any(name in SUITE_OPTIONS[suite] for suite in suites):
+            raise UsageError(f"suite {', '.join(suites)} does not read --{name}")
     for name in ("n", "degree", "cap"):
         value = getattr(args, name)
         if value is not None and value < 1:
@@ -140,6 +147,9 @@ def _options(args, suites=()) -> tuple:
     S = None
     if args.structure:
         S = _structure(args.structure, theta)
+        if theta is not None and getattr(S, "theta", None) != theta:
+            raise UsageError(f"--theta has no slot to fill in "
+                             f"{args.structure!r}")
         wrong = [name for name in suites if name in OPERATOR_SUITES]
         if wrong and not isinstance(S, RBStructure):
             raise UsageError(f"suite {', '.join(wrong)} needs an operator "

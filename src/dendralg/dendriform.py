@@ -51,10 +51,10 @@ class DendriformStructure:
     first use of a pair calls the primitive once and stores the result;
     left, right and star read only the tables.  The primitives must
     therefore be pure functions of the two keys, and they keep no state of
-    their own: the two tables are the package's only memo of basis
-    products.  A table grows to at most the number of distinct key pairs
-    the structure is used on, is owned by the instance alone and is freed
-    with it.  Subclasses that define __init__ call super().__init__().
+    their own: S's two tables are the only memo of basis products for S
+    and its opposite.  A table grows to at most the number of distinct key
+    pairs it is used on and is freed with S.  Subclasses that define
+    __init__ call super().__init__(), but for the tableless opposite view.
     """
 
     name: str
@@ -102,12 +102,17 @@ class DendriformStructure:
             raise SortMismatch(
                 f"element over {x.sort.name!r} fed to structure {self.name!r}")
 
+    def _halves(self) -> tuple:
+        """The (table, primitive) pairs of side 0, <, and side 1, >."""
+        return ((self._left_table, self.basis_left),
+                (self._right_table, self.basis_right))
+
     def _half_into(self, data: dict, halves, xs, ys) -> dict:
         """Accumulate the half-products in halves of xs by ys into data.
 
-        halves holds (table, basis_fn) pairs; a key pair missing from a table
-        is filled from its basis_fn.  xs and ys are (key, exact scalar) pairs
-        of non-unit keys.
+        halves holds pairs from `_halves`; a key pair missing from a table
+        is filled from its primitive.  xs and ys are (key, exact scalar)
+        pairs of non-unit keys; ys is read once per term of xs.
         """
         for k1, c1 in xs:
             for k2, c2 in ys:
@@ -120,25 +125,23 @@ class DendriformStructure:
                     _accumulate_groups(data, groups, c)
         return data
 
-    def _half(self, halves, x: Elem, y: Elem) -> Elem:
-        data = self._half_into({}, halves, x._terms.items(), y._terms.items())
+    def _half(self, side: int, x: Elem, y: Elem) -> Elem:
+        self._check_operand(x)
+        self._check_operand(y)
+        if x.unit_coeff or y.unit_coeff:
+            raise UnitMisuse(
+                f"{self.name}: {'<>'[side]} is undefined on unit components")
+        data = self._half_into({}, self._halves()[side:side + 1],
+                               x._terms.items(), y._terms.items())
         return Elem._trusted(self.sort, data)
 
     def left(self, x: Elem, y: Elem) -> Elem:
         """The half-product a < b; operands must be unit-free."""
-        self._check_operand(x)
-        self._check_operand(y)
-        if x.unit_coeff or y.unit_coeff:
-            raise UnitMisuse(f"{self.name}: < is undefined on unit components")
-        return self._half(((self._left_table, self.basis_left),), x, y)
+        return self._half(0, x, y)
 
     def right(self, x: Elem, y: Elem) -> Elem:
         """The half-product a > b; operands must be unit-free."""
-        self._check_operand(x)
-        self._check_operand(y)
-        if x.unit_coeff or y.unit_coeff:
-            raise UnitMisuse(f"{self.name}: > is undefined on unit components")
-        return self._half(((self._right_table, self.basis_right),), x, y)
+        return self._half(1, x, y)
 
     def star(self, x: Elem, y: Elem) -> Elem:
         """The associative product a * b = a < b + a > b, extended unitally."""
@@ -155,8 +158,7 @@ class DendriformStructure:
             _accumulate(data, b, cx)
         if cy:
             _accumulate(data, a, cy)
-        self._half_into(data, ((self._left_table, self.basis_left),
-                               (self._right_table, self.basis_right)), a, b)
+        self._half_into(data, self._halves(), a, b)
         return Elem._trusted(self.sort, data)
 
     # -- validation ---------------------------------------------------------
@@ -188,16 +190,16 @@ class DendriformStructure:
                    for ka in keys
                    for kb in within.get(max_degree - degs[ka], ())
                    for kc in within.get(max_degree - degs[ka] - degs[kb], ()))
-        left = ((self._left_table, self.basis_left),)
-        right = ((self._right_table, self.basis_right),)
+        halves = self._halves()
+        left, right = halves[:1], halves[1:]
         half = self._half_into
 
         @functools.cache
         def pair(k1, k2):
             """k1 < k2, k1 > k2 and k1 * k2, as normalized term dicts."""
             one = (((k1, 1),), ((k2, 1),))
-            return tuple(_normalized(half({}, halves, *one))
-                         for halves in (left, right, left + right))
+            return tuple(_normalized(half({}, h, *one))
+                         for h in (left, right, halves))
 
         checked = 0
         for ka, kb, kc in triples:
@@ -234,10 +236,11 @@ class OppositeStructure(DendriformStructure):
     Both give rise to the same pre-Lie products as the base structure, while
     the associative product reverses and changes sign.  The unit conventions
     are imposed afresh on the adjoined unit, not derived from the swap.
+    A view of its base: it owns no tables, and its products read and fill
+    the base's at the swapped key pair, the coefficient negated.
     """
 
     def __init__(self, base: DendriformStructure):
-        super().__init__()
         self.base = base
         self.name = base.name + ".op"
         self.sort = base.sort
@@ -247,6 +250,12 @@ class OppositeStructure(DendriformStructure):
 
     def basis_right(self, k1, k2) -> Elem:
         return -self.base.basis_left(k2, k1)
+
+    def _halves(self) -> tuple:
+        return self.base._halves()[::-1]  # <' reads > and >' reads <
+
+    def _half_into(self, data: dict, halves, xs, ys) -> dict:
+        return self.base._half_into(data, halves, [(k, -c) for k, c in ys], xs)
 
     def degree(self, key):
         return self.base.degree(key)

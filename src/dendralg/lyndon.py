@@ -211,35 +211,33 @@ def e_block_sum(S: DendriformStructure, args) -> Elem:
     return t((1 << len(args)) - 1)
 
 
-def _dual(right_sum, op: DendriformStructure, args) -> Elem:
-    """(-1)^(n-1) right_sum(op, reversed args): with op the opposite of S,
-    where a >' b = -(b < a), the left form of right_sum on S."""
+def _dual(right_sum, S: DendriformStructure, args) -> Elem:
+    """(-1)^(n-1) right_sum(opposite(S), reversed args): as a >' b =
+    -(b < a) in the opposite, the left form of right_sum on S."""
     args = list(args)
-    out = right_sum(op, args[::-1])
+    out = right_sum(opposite(S), args[::-1])
     return out if len(args) % 2 else -out
 
 
 def f_block_sum(S: DendriformStructure, args) -> Elem:
     """Sum of U(sigma), the F-block pre-Lie products, over the symmetric
     group: the E-block sum of the opposite structure, by duality."""
-    return _dual(e_block_sum, opposite(S), args)
+    return _dual(e_block_sum, S, args)
 
 
 def spitzer_sums(S: DendriformStructure, args) -> dict:
     """The four symmetric-group sums of the Bohnenblust-Spitzer identities.
 
     right_chain and t_sum are subset recursions on S; left_chain and u_sum
-    are the same two recursions on the opposite structure, built once here
-    so that both share its product tables.  Each recursion memoizes only
-    within its own call.
+    are the same two recursions on the opposite structure.  Each recursion
+    memoizes only within its own call.
     """
     args = list(args)
-    op = opposite(S)
     return {
         "right_chain": right_chain_sum(S, args),
         "t_sum": e_block_sum(S, args),
-        "left_chain": _dual(right_chain_sum, op, args),
-        "u_sum": _dual(e_block_sum, op, args),
+        "left_chain": _dual(right_chain_sum, S, args),
+        "u_sum": f_block_sum(S, args),
     }
 
 

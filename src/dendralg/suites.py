@@ -37,8 +37,8 @@ from .structures import (
 # executed on first use, so an axioms run never compiles them
 hopf, lyndon, magnus = _lazy("hopf"), _lazy("lyndon"), _lazy("magnus")
 
-__all__ = ["SuiteReport", "Options", "SUITES", "OPERATOR_SUITES", "run_suites",
-           "suite_names"]
+__all__ = ["SuiteReport", "Options", "SUITES", "SUITE_OPTIONS",
+           "OPERATOR_SUITES", "run_suites", "suite_names"]
 
 RB_THETAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))
 _SEQMAT = STANDARD_SELECTORS[5]
@@ -393,19 +393,18 @@ def _rb_nested_sums(S: RBStructure, args: list) -> tuple:
 def _rb_corollary(run: _Run, S, n: int, seed: int) -> tuple | None:
     """The sides of the Rota-Baxter corollary both RB suites compare.
 
-    Returns (args, nested1, nested2, t_sum, u_sum): S's n sweep arguments,
-    their two nested sums, the E-block sum of the plain variant and the
-    F-block sum of the primed one.  None, after failing a check on run,
-    when S is not operator-induced.
+    Returns (args, nested1, nested2, t_sum, u_sum, primed): S's n sweep
+    arguments, their two nested sums, the E-block sum of S (the plain
+    variant) and the F-block sum of primed, S's primed twin.  None, after
+    failing a check on run, when S is not operator-induced.
     """
     if not isinstance(S, RBStructure):
         run.true("structure is operator-induced", False, S.name)
         return None
-    args = S.sweep_args(n, seed)
+    args, primed = S.sweep_args(n, seed), S.with_variant("primed")
     nested1, nested2 = _rb_nested_sums(S, args)
-    return (args, nested1, nested2,
-            lyndon.e_block_sum(S.with_variant("plain"), args),
-            lyndon.f_block_sum(S.with_variant("primed"), args))
+    return (args, nested1, nested2, lyndon.e_block_sum(S, args),
+            lyndon.f_block_sum(primed, args), primed)
 
 
 def suite_rb_nested(options: Options):
@@ -415,7 +414,7 @@ def suite_rb_nested(options: Options):
         sides = _rb_corollary(run, S, n, options.seed)
         if sides is None:
             return
-        _, nested1, nested2, t_sum, u_sum = sides
+        _, nested1, nested2, t_sum, u_sum, _ = sides
         run.equal("nested operator chains (first kind) = E-block products",
                   nested1, t_sum)
         run.equal("nested operator chains (second kind) = primed F-block products",
@@ -432,7 +431,7 @@ def suite_rb_spitzer(options: Options):
         sides = _rb_corollary(run, S, n, options.seed)
         if sides is None:
             return
-        args, nested1, nested2, t_sum, u_sum = sides
+        args, nested1, nested2, t_sum, u_sum, primed = sides
         run.equal("R image of nested chains = R image of E-block products",
                   S.R(nested1), S.R(t_sum))
         run.equal("R image of nested chains = R image of primed F-block products",
@@ -445,8 +444,7 @@ def suite_rb_spitzer(options: Options):
                 a, b = args[0], args[1]
                 run.equal(
                     "commutative carrier: both operator pre-Lie products agree",
-                    prelie_left(S.with_variant("plain"), a, b),
-                    prelie_right(S.with_variant("primed"), a, b))
+                    prelie_left(S, a, b), prelie_right(primed, a, b))
 
     return _reports("rb-spitzer", options, {"n": n, "seed": options.seed},
                     _selectors(options, RB_SPITZER_SELECTORS), body)
@@ -508,6 +506,23 @@ SUITES = {
                     "word-algebra convolution identities and the multilinear subset expansion"),
 }
 
+
+# the Options fields each suite reads besides seed, which any suite may be
+# given; "theta" means the weight of its default seqmat carriers, while a
+# --structure selector takes a theta only into a slot of its own
+SUITE_OPTIONS = {
+    "axioms": ("structure", "degree", "theta"),
+    "prelie-laws": ("structure", "degree", "theta"),
+    "dynkin-prelie": ("structure", "n", "theta"),
+    "power-sums": ("structure", "n", "theta"),
+    "spitzer": ("structure", "n", "theta"),
+    "magnus": ("structure", "cap", "theta"),
+    "pbw": ("n",),
+    "census": ("n",),
+    "rb-nested": ("structure", "n", "theta"),
+    "rb-spitzer": ("structure", "n"),
+    "convolution": ("n",),
+}
 
 # suites that need an operator-induced (rb-*) structure
 OPERATOR_SUITES = ("rb-nested", "rb-spitzer")

@@ -3,11 +3,15 @@
 import json
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
 from dendralg import STANDARD_SELECTORS, SUITES, Options, SuiteReport, run_suites
-from dendralg.cli import _emit_reports, main
+from dendralg.cli import UsageError, _build_parser, _emit_reports, _options, main
+from dendralg.suites import SUITE_OPTIONS
+from test_golden_verify import REQUESTS as GOLDEN_REQUESTS
 
 
 def run(capsys, *argv):
@@ -391,6 +395,91 @@ class TestExitCodeContract:
         assert "[pass]" in out
 
 
+class TestUnreadOptions:
+    """verify refuses an option that no requested suite reads, where it
+    used to run and print params that hid the ignored value."""
+
+    @pytest.mark.parametrize("argv, option", [
+        (("--suite", "magnus", "--structure", "mr", "--n", "99",
+          "--degree", "99"), "--n"),
+        (("--suite", "census", "--structure", "mr", "--theta", "5",
+          "--cap", "99"), "--structure"),
+        (("--suite", "convolution", "--structure", "free", "--degree", "9"),
+         "--structure"),
+        (("--suite", "rb-spitzer", "--theta", "2/3"), "--theta"),
+    ])
+    def test_unread_option_is_a_usage_error(self, capsys, argv, option):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"does not read {option}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("selector, code", [
+        ("mr", 2), ("rb-polymat:k=2", 2), ("rb-seqmat:theta=1,k=1,N=3", 2),
+        ("rb-seqmat:k=1,N=3", 0),
+    ])
+    def test_theta_beside_a_structure_needs_its_theta_slot(self, capsys,
+                                                           selector, code):
+        returned, out, err = run(capsys, "verify", "--suite", "rb-spitzer",
+                                 "--n", "2", "--structure", selector,
+                                 "--theta", "2/3")
+        assert returned == code
+        if code:
+            assert out == "" and "--theta has no slot to fill" in err
+        else:
+            assert "[pass] rb-spitzer" in out
+
+
+# a value for each option of SUITE_OPTIONS that changes what a suite reading
+# it would run
+OPTION_VALUES = {"structure": "rb-polymat:k=1", "n": 2, "degree": 4, "cap": 3,
+                 "theta": 2}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_suite_options_declare_what_each_suite_reads(suite):
+    """An option a suite declares changes the label or params of one of its
+    reports; any other option changes none.  Report makers are compared
+    unrun."""
+    def plan(**option):
+        return [maker.args[1:3] for maker in SUITES[suite][0](Options(**option))]
+
+    default = plan()
+    for name, value in OPTION_VALUES.items():
+        assert (plan(**{name: value}) != default) == \
+            (name in SUITE_OPTIONS[suite]), name
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, executed from its source text so that nothing
+    is written under perfbench/.  Its frozen dataclasses look their module
+    up in sys.modules, so the module is registered before it runs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+BENCHMARK_REQUESTS = [
+    request.argv(0) for workload in _benchmark_workloads().WORKLOADS.values()
+    for request in workload.requests
+] + [["verify", *request, "--seed", "0", "--format", "json"]
+     for request in GOLDEN_REQUESTS]
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_REQUESTS, ids=" ".join)
+def test_benchmark_requests_pass_option_validation(argv):
+    """A refusal rule that caught one of these would show up in the
+    benchmark only as a failed run; here it fails before any suite runs."""
+    args = _build_parser().parse_args(argv)
+    try:
+        _options(args, [args.suite])
+    except UsageError as exc:
+        pytest.fail(f"{' '.join(argv)} refused: {exc}")
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "dendralg", "verify", "--suite", "census"],
@@ -467,6 +556,29 @@ def test_theta_run_keeps_its_reports(capsys):
                        "--degree", "3", "--cap", "3", "--format", "json")
     assert code == 0
     assert _outcomes(out) == THETA_OUTCOMES
+
+
+# `verify --structure free --n 2 --degree 3 --cap 3`
+FREE_OUTCOMES = [
+    ('axioms', 'free', {'degree': 3}, 'pass', 3),
+    ('census', 'permutations', {'cfl_n': 2, 'n': 2}, 'pass', 6),
+    ('convolution', 'max', {'n': 2}, 'pass', 5),
+    ('convolution', 'words', {'n': 2}, 'pass', 4),
+    ('dynkin-prelie', 'free', {'n': 2, 'seed': 0}, 'pass', 2),
+    ('dynkin-prelie', 'words', {'n': 2}, 'pass', 4),
+    ('magnus', 'free', {'cap': 3, 'seed': 0}, 'pass', 6),
+    ('pbw', 'words', {'n': 2}, 'pass', 3),
+    ('power-sums', 'free', {'n': 2, 'seed': 0}, 'pass', 4),
+    ('prelie-laws', 'free', {'degree': 3, 'seed': 0, 'trials': 3}, 'pass', 15),
+    ('spitzer', 'free', {'n': 2, 'seed': 0}, 'pass', 2),
+]
+
+
+def test_all_suites_on_free_keep_their_reports(capsys):
+    code, out, _ = run(capsys, "verify", "--structure", "free", "--n", "2",
+                       "--degree", "3", "--cap", "3", "--format", "json")
+    assert code == 0
+    assert _outcomes(out) == FREE_OUTCOMES
 
 
 def test_spitzer_on_free_keeps_its_report(capsys):

@@ -20,9 +20,11 @@ from dendralg import (
 )
 from dendralg.errors import SortMismatch
 from dendralg.ncalg import PERM_SORT, WORD_SORT, linear_combination
-from dendralg.lyndon import e_block_sum, right_chain_sum
+from dendralg.lyndon import e_block_sum, right_chain_sum, spitzer_sums
 from dendralg.magnus import prelie_word_series
-from dendralg.structures import LEAF, FreeStructure, MRStructure, Tree
+from dendralg.structures import (
+    LEAF, FreeStructure, MRStructure, PolyMatBackend, RBStructure, Tree,
+)
 
 _BUILT: dict = {}
 
@@ -318,6 +320,38 @@ class CountingBasisMR(CountingBasis, MRStructure):
 
 class CountingBasisFree(CountingBasis, FreeStructure):
     pass
+
+
+class CountingBasisRB(CountingBasis, RBStructure):
+    pass
+
+
+MEMO_CASES = {
+    "mr": CountingBasisMR,
+    "rb-polymat:k=2": lambda: CountingBasisRB(
+        PolyMatBackend(2), name="rb-polymat:k=2", check=False),
+}
+
+
+@pytest.mark.parametrize("name", MEMO_CASES)
+def test_a_structure_and_its_opposite_fill_one_memo(name):
+    """The left sums of spitzer_sums run on opposite(S), a view that reads
+    and fills S's tables at the swapped key pair: no basis product is
+    computed twice, and the opposite keeps no table of its own."""
+    S = MEMO_CASES[name]()
+    op = opposite(S)
+    assert not hasattr(op, "_left_table") and not hasattr(op, "_right_table")
+    spitzer_sums(S, S.sweep_args(5, 0))
+    assert 0 < S.basis_calls == len(S._left_table) + len(S._right_table)
+    assert op.self_test(3) > 0
+    assert S.basis_calls == len(S._left_table) + len(S._right_table)
+    # op's products of the key pair (a, b) are S's of (b, a)
+    keys = list(S.basis_keys(3))
+    read = set()
+    for a, b, c in itertools.product(keys, repeat=3):
+        if S.degree(a) + S.degree(b) + S.degree(c) <= 3:
+            read |= {(b, a), (c, b)}
+    assert read <= set(S._left_table) & set(S._right_table)
 
 
 @pytest.mark.parametrize("cls", [CountingBasisMR, CountingBasisFree])
