@@ -1,10 +1,12 @@
 """Command-line front end for the verification suites and expansions.
 
-Subcommands: list-suites, verify, census, pbw, magnus, expand.  Exit code 0
-means every requested check passed, 1 means a counterexample was found, and 2
+Subcommands: list-suites, verify, census, pbw, expand.  Exit code 0 means
+every requested check passed, 1 means a counterexample was found, and 2
 signals a usage or configuration problem.  With --format json the output is
 schema-stable and, for a fixed seed, byte-deterministic apart from the
-elapsed_ms timing fields.
+elapsed_ms timing fields.  A structure is named by its selector alone:
+--theta re-weights only the default seqmat carriers of verify, and a
+--structure states its own weight (rb-seqmat:theta=2/3).
 """
 
 from __future__ import annotations
@@ -17,14 +19,12 @@ from .errors import InvalidPermutation
 from .ncalg import Elem, Word, WORD_SORT
 from .structures import RBStructure, _rational, from_selector
 from .suites import (
-    MAGNUS_CAP, OPERATOR_SUITES, SUITE_OPTIONS, SUITES, Options, run_suites,
-    suite_names,
+    OPERATOR_SUITES, SUITE_OPTIONS, SUITES, Options, run_suites, suite_names,
 )
 
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 # executed on first use, as in suites
 hopf, lyndon, magnus = _lazy("hopf"), _lazy("lyndon"), _lazy("magnus")
@@ -34,8 +34,8 @@ class UsageError(Exception):
     """Raised for configuration problems that should exit with code 2."""
 
 
-# op -> its value at (structure, generator, n); hopf is reached only
-# through the lambdas, so building the table executes no lazy module
+# op -> its value at (structure, generator, n); hopf and magnus are reached
+# only through the lambdas, so building the table executes no lazy module
 _EXPANSIONS = {
     "w-right": w_right,
     "w-left": w_left,
@@ -45,6 +45,7 @@ _EXPANSIONS = {
     "antipode": lambda S, a, n: hopf.w_antipode(S, a, n),
     "comp-right": lambda S, a, n: hopf.w_right_from_compositions(S, a, n),
     "comp-left": lambda S, a, n: hopf.w_left_from_compositions(S, a, n),
+    "omega": lambda S, a, n: magnus.magnus_omega(S, a, n).coeff(n),
 }
 EXPAND_OPS = tuple(_EXPANSIONS)
 
@@ -58,20 +59,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-suites", help="show the suite catalogue"
                    ).set_defaults(handler=_cmd_list_suites)
 
-    def common(p):
-        p.add_argument("--structure", help="structure selector, e.g. shuffle "
-                                           "or rb-seqmat:theta=1,k=2,N=4")
-        p.add_argument("--cap", type=int, help="series truncation order")
-        p.add_argument("--theta", help="weight for operator structures, e.g. 2/3")
-        p.add_argument("--seed", type=int, default=0,
-                       help="PRNG seed for random-element checks (default 0)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
     verify = sub.add_parser("verify", help="run verification suites")
     verify.add_argument("--suite", help="suite name (default: all)")
     verify.add_argument("--n", type=int, help="size bound / sweep size")
     verify.add_argument("--degree", type=int, help="basis degree bound")
-    common(verify)
+    verify.add_argument("--structure", help="structure selector, e.g. shuffle "
+                                            "or rb-seqmat:theta=1,k=2,N=4")
+    verify.add_argument("--cap", type=int, help="series truncation order")
+    verify.add_argument("--theta", help="weight of the default seqmat "
+                                        "carriers, e.g. 2/3")
+    verify.add_argument("--seed", type=int, default=0,
+                        help="PRNG seed for random-element checks (default 0)")
+    verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(handler=_cmd_verify)
 
     census = sub.add_parser("census", help="tabulate permutations by E-block type")
@@ -80,43 +79,25 @@ def _build_parser() -> argparse.ArgumentParser:
     census.set_defaults(handler=_cmd_census)
 
     pbw = sub.add_parser("pbw", help="print a bracketed E-block expansion")
-    pbw.add_argument("--n", type=int, default=4)
+    pbw.add_argument("--n", type=int, help="size of the default beta (4)")
     pbw.add_argument("--beta", help="relabelling in one-line notation, e.g. 4,3,2,1 "
                                     "(default: the order reversal of size n)")
     pbw.add_argument("--format", choices=("text", "json"), default="text")
     pbw.set_defaults(handler=_cmd_pbw)
 
-    mg = sub.add_parser("magnus", help="run the Magnus checks, optionally "
-                                       "printing the omega coefficients")
-    common(mg)
-    mg.add_argument("--emit-omega", action="store_true",
-                    help="print each omega coefficient")
-    # _options reads n and degree; magnus takes neither
-    mg.set_defaults(handler=_cmd_magnus, n=None, degree=None)
-
     ex = sub.add_parser("expand", help="print one expansion of a generator")
     ex.add_argument("--structure", required=True)
     ex.add_argument("--op", required=True, choices=EXPAND_OPS)
     ex.add_argument("--n", type=int, required=True)
-    ex.add_argument("--theta")
     ex.add_argument("--seed", type=int, default=0)
     ex.add_argument("--format", choices=("text", "json"), default="text")
     ex.set_defaults(handler=_cmd_expand)
     return parser
 
 
-def _theta(args) -> Fraction | None:
-    if args.theta is None:
-        return None
+def _structure(selector: str):
     try:
-        return _rational(args.theta)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"cannot parse theta {args.theta!r}")
-
-
-def _structure(selector: str, theta):
-    try:
-        return from_selector(selector, theta=theta)
+        return from_selector(selector)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise UsageError(f"bad structure {selector!r}: {exc}")
 
@@ -125,16 +106,23 @@ def _options(args, suites=()) -> tuple:
     """Validate the suite options once, for the suites about to run.
 
     Sizes must be at least 1 when given, some requested suite must read
-    each option given (SUITE_OPTIONS), a --theta beside --structure must be
-    that structure's weight, the theta and the selector must parse, the
-    operator suites need an operator structure, and the axioms suite needs
-    a degree bound that admits a triple.  Returns the Options and the
-    structure --structure selects, built once here (None without it).
+    each option given (SUITE_OPTIONS), --theta is not read beside
+    --structure, the theta and the selector must parse, the operator suites
+    need an operator structure, and the axioms suite needs a degree bound
+    that admits a triple.  Returns the Options and the structure
+    --structure selects, built once here (None without it).
     """
-    theta = _theta(args)
+    try:
+        theta = None if args.theta is None else _rational(args.theta)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"cannot parse theta {args.theta!r}")
     for name in ("structure", "n", "degree", "cap", "theta"):
-        if getattr(args, name) is None or name == "theta" and args.structure:
-            continue  # checked below against the structure's weight
+        if getattr(args, name) is None:
+            continue
+        if name == "theta" and args.structure:
+            raise UsageError(f"--structure does not read --theta; state the "
+                             f"weight in the selector, as "
+                             f"rb-seqmat:theta={theta}")
         if not any(name in SUITE_OPTIONS[suite] for suite in suites):
             raise UsageError(f"suite {', '.join(suites)} does not read --{name}")
     for name in ("n", "degree", "cap"):
@@ -146,10 +134,7 @@ def _options(args, suites=()) -> tuple:
     low = 1
     S = None
     if args.structure:
-        S = _structure(args.structure, theta)
-        if theta is not None and getattr(S, "theta", None) != theta:
-            raise UsageError(f"--theta has no slot to fill in "
-                             f"{args.structure!r}")
+        S = _structure(args.structure)
         wrong = [name for name in suites if name in OPERATOR_SUITES]
         if wrong and not isinstance(S, RBStructure):
             raise UsageError(f"suite {', '.join(wrong)} needs an operator "
@@ -233,9 +218,7 @@ def _cmd_census(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_beta(text: str, fallback_n: int):
-    if text is None:
-        return tuple(range(fallback_n, 0, -1))
+def _parse_beta(text: str):
     text = text.strip()
     if "," in text:
         parts = [p for p in text.split(",") if p.strip()]
@@ -248,9 +231,15 @@ def _parse_beta(text: str, fallback_n: int):
 
 
 def _cmd_pbw(args) -> int:
-    if args.beta is None and args.n < 1:
-        raise UsageError("pbw needs --n >= 1")
-    image = _parse_beta(args.beta, args.n)
+    if args.beta is None:
+        n = 4 if args.n is None else args.n
+        if n < 1:
+            raise UsageError("pbw needs --n >= 1")
+        image = tuple(range(n, 0, -1))
+    elif args.n is not None:
+        raise UsageError("--beta fixes n; give --beta or --n, not both")
+    else:
+        image = _parse_beta(args.beta)
     if not image:
         raise UsageError("pbw needs a nonempty permutation")
     try:
@@ -273,33 +262,10 @@ def _cmd_pbw(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_magnus(args) -> int:
-    if args.emit_omega and args.format == "json":
-        raise UsageError("--emit-omega prints text; it cannot be combined "
-                         "with --format json")
-    options, S = _options(args, ["magnus"])
-    reports = run_suites(["magnus"], options)
-    code = _emit_reports(reports, args.format)
-    if args.emit_omega:
-        cap = MAGNUS_CAP if options.cap is None else options.cap
-        if S is not None:
-            targets = [(options.structure, S)]
-        else:
-            targets = ((rep.structure, _structure(rep.structure, options.theta))
-                       for rep in reports)
-        for sel, S in targets:
-            a = S.generator(options.seed)
-            om = magnus.magnus_omega(S, a, cap)
-            print(f"omega coefficients for {sel} (cap {cap}):")
-            for d in range(1, cap + 1):
-                print(f"  t^{d}: {om.coeff(d).render(max_terms=20)}")
-    return code
-
-
 def _cmd_expand(args) -> int:
     if args.n < 0 or (args.n == 0 and args.op in ("ell", "r", "dynkin")):
         raise UsageError(f"op {args.op} needs --n >= 1")
-    S = _structure(args.structure, _theta(args))
+    S = _structure(args.structure)
     a = S.generator(args.seed)
     value = _EXPANSIONS[args.op](S, a, args.n)
     if args.format == "json":

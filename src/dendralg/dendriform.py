@@ -178,8 +178,9 @@ class DendriformStructure:
 
         The pair products a<b, a>b and a*b are shared within one call: each
         key pair's three are computed once, as normalized term dicts, so a
-        triple costs only its six outer products, and the two sides of each
-        axiom compare as dicts.  Elements are built only to render a
+        triple costs only its six outer products.  Each axiom accumulates
+        its left side minus its right side into one dict, which holds only
+        zeros when the axiom holds.  Elements are built only to render a
         counterexample.
         """
         keys = list(self.basis_keys(max_degree))
@@ -206,23 +207,23 @@ class DendriformStructure:
             ab_left, ab_right, ab = pair(ka, kb)
             bc_left, bc_right, bc = pair(kb, kc)
             a, c = ((ka, 1),), ((kc, 1),)
-            sides = (
-                ("(a<b)<c = a<(b*c)",
-                 half({}, left, ab_left.items(), c),
-                 half({}, left, a, bc.items())),
-                ("(a>b)<c = a>(b<c)",
-                 half({}, left, ab_right.items(), c),
-                 half({}, right, a, bc_left.items())),
-                ("a>(b>c) = (a*b)>c",
-                 half({}, right, a, bc_right.items()),
-                 half({}, right, ab.items(), c)),
+            # each side as (halves, xs, ys); the right side's one-key
+            # operand is negated, so both sides accumulate to lhs - rhs
+            axioms = (
+                ("(a<b)<c = a<(b*c)", (left, ab_left.items(), c),
+                 (left, ((ka, -1),), bc.items())),
+                ("(a>b)<c = a>(b<c)", (left, ab_right.items(), c),
+                 (right, ((ka, -1),), bc_left.items())),
+                ("a>(b>c) = (a*b)>c", (right, a, bc_right.items()),
+                 (right, ab.items(), ((kc, -1),))),
             )
-            for label, lhs, rhs in sides:
-                if _normalized(lhs) != _normalized(rhs):
+            for label, lhs, minus_rhs in axioms:
+                if any(half(half({}, *lhs), *minus_rhs).values()):
+                    rhs = {k: -v for k, v in half({}, *minus_rhs).items()}
                     raise AxiomCheckFailure(
                         self.name, label, (ka, kb, kc),
                         *(Elem._trusted(self.sort, side).render(max_terms=10)
-                          for side in (lhs, rhs)))
+                          for side in (half({}, *lhs), rhs)))
             checked += 1
         return checked
 

@@ -556,13 +556,12 @@ STANDARD_SELECTORS = (
 )
 
 
-def from_selector(text: str, theta=None) -> DendriformStructure:
+def from_selector(text: str) -> DendriformStructure:
     """Build a structure from a selection string.
 
     Accepted: shuffle | max | max-rev | mr | free
             | rb-seqmat:theta=<rational>,k=<int>,N=<int>  (params optional)
             | rb-polymat:k=<int>
-    A separately supplied theta fills in when the selector omits it.
     """
     head, _, params_text = text.strip().partition(":")
     params = {}
@@ -582,8 +581,7 @@ def from_selector(text: str, theta=None) -> DendriformStructure:
     if head == "rb-seqmat":
         allowed = {"theta", "k", "N"}
         _only_params(text, params, allowed)
-        th = _rational(params["theta"]) if "theta" in params else \
-            (as_scalar(theta) if theta is not None else Fraction(1))
+        th = _rational(params.get("theta", "1"))
         return rb_seqmat_structure(theta=th, k=int(params.get("k", 2)),
                                    N=int(params.get("N", 4)))
     if head == "rb-polymat":

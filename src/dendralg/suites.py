@@ -8,7 +8,8 @@ no tolerances anywhere: a suite passes only on equality on the nose.
 
 A suite is its check body plus one call to `_reports`.  Every report is
 made by `_report`: it opens a `_Run`, which starts the clock, builds the
-report's structure once if it has one, runs the body and closes the run.
+report's structure, if it has one, from its label (the complete selector)
+alone, runs the body and closes the run.
 
 Random elements are drawn from a PRNG seeded through the options, so two
 runs with the same seed compare byte-for-byte (timings aside).
@@ -73,6 +74,8 @@ class Options(NamedTuple):
 
     Sizes are taken as given: the command line refuses sizes below 1, and a
     library caller passing n=0 gets reports with no checks, which fail.
+    theta re-weights the default seqmat carriers only: a structure selector
+    states its own weight, and beside one theta is not read.
     """
 
     structure: str | None = None
@@ -142,25 +145,28 @@ def _given(value, default):
     return default if value is None else value
 
 
+def _seqmat(theta) -> str:
+    """The selector of the standard seqmat carrier at weight theta."""
+    return f"rb-seqmat:theta={theta},k=2,N=4"
+
+
 def _selectors(options: Options, default: tuple,
                theta_sweep: bool = False) -> tuple:
     """The selectors a suite runs on: --structure alone if given, else default.
 
     With theta_sweep, default is followed by the seqmat at every weight of
     RB_THETAS (only the --theta weight when given) and by rb-polymat.
-    Otherwise --theta turns the standard seqmat entry into bare rb-seqmat,
-    built at that weight; other entries, such as the seqmat rb-spitzer pins,
-    keep their own weight.
+    Otherwise --theta re-weights the standard seqmat entry; other entries,
+    such as the seqmat rb-spitzer pins, keep their own weight.
     """
     if options.structure:
         return (options.structure,)
     if theta_sweep:
         thetas = RB_THETAS if options.theta is None else (options.theta,)
-        return (default + tuple(f"rb-seqmat:theta={th},k=2,N=4" for th in thetas)
-                + ("rb-polymat:k=2",))
+        return default + tuple(map(_seqmat, thetas)) + ("rb-polymat:k=2",)
     if options.theta is None:
         return default
-    return tuple("rb-seqmat" if s == _SEQMAT else s for s in default)
+    return tuple(_seqmat(options.theta) if s == _SEQMAT else s for s in default)
 
 
 def _reports(suite: str, options: Options, params: dict | None = None,
@@ -168,23 +174,23 @@ def _reports(suite: str, options: Options, params: dict | None = None,
     """One zero-argument report maker per report of a suite, in order.
 
     First one per (label, params, check) of free, which runs check(run);
-    then one per selector, which runs body(run, S) on its structure S.
+    then one per selector, labelled with it, which runs body(run, S) on
+    the structure S the label alone rebuilds.
     """
     for label, free_params, check in free:
         yield functools.partial(_report, suite, label, free_params, check)
     for sel in selectors:
-        yield functools.partial(_report, suite, sel, params, body, sel,
-                                options.theta)
+        yield functools.partial(_report, suite, sel, params, body, True)
 
 
 def _report(suite: str, label: str, params: dict, check,
-            selector: str | None = None, theta=None) -> SuiteReport:
-    """Open one report, build its structure if it has one, check, close."""
+            built: bool = False) -> SuiteReport:
+    """Open one report, build S from the label if built, check, close."""
     run = _Run(suite, label, params)
-    if selector is None:
-        check(run)
+    if built:
+        check(run, from_selector(label))
     else:
-        check(run, from_selector(selector, theta=theta))
+        check(run)
     return run.report()
 
 
@@ -508,8 +514,8 @@ SUITES = {
 
 
 # the Options fields each suite reads besides seed, which any suite may be
-# given; "theta" means the weight of its default seqmat carriers, while a
-# --structure selector takes a theta only into a slot of its own
+# given; "theta" re-weights only its default seqmat carriers, as a
+# --structure selector states its own weight
 SUITE_OPTIONS = {
     "axioms": ("structure", "degree", "theta"),
     "prelie-laws": ("structure", "degree", "theta"),

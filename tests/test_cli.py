@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -176,44 +177,50 @@ class TestPBWCommand:
         code, _, err = run(capsys, "pbw", "--n", "0")
         assert code == 2
 
+    def test_n_beside_beta_is_a_usage_error(self, capsys):
+        """--beta fixes n, so a --n beside it was silently ignored."""
+        code, out, err = run(capsys, "pbw", "--beta", "2,1", "--n", "7")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--beta fixes n" in err
+
 
 class TestMagnusCommand:
+    """The magnus subcommand is gone: its checks are verify --suite magnus
+    and its --emit-omega lines are expand --op omega."""
+
+    # `magnus --structure free --cap 3 --emit-omega` before the fold
+    EMITTED = (
+        "(^)",
+        "-1/2*(^(^)) + 1/2*((^)^)",
+        "1/3*(^(^(^))) - 1/6*(^((^)^)) - 1/6*((^)^(^)) - 1/6*((^(^))^)"
+        " + 1/3*(((^)^)^)",
+    )
+
     def test_emit_omega(self, capsys):
-        code, out, _ = run(capsys, "magnus", "--structure", "free",
-                           "--cap", "3", "--emit-omega")
-        assert code == 0
-        assert "[pass] magnus" in out
-        assert "omega coefficients for free (cap 3):" in out
-        assert "t^1:" in out and "t^3:" in out
+        for d, line in enumerate(self.EMITTED, start=1):
+            code, out, _ = run(capsys, "expand", "--structure", "free",
+                               "--op", "omega", "--n", str(d))
+            assert code == 0
+            assert out.splitlines()[1] == f"omega({d}): {line}"
 
     def test_emit_omega_uses_the_suite_default_cap(self, capsys):
-        code, out, _ = run(capsys, "magnus", "--structure", "mr",
-                           "--emit-omega")
+        code, out, _ = run(capsys, "verify", "--suite", "magnus",
+                           "--structure", "mr")
         assert code == 0
-        assert "cap=6" in out and "omega coefficients for mr (cap 6):" in out
-        lines = [line.split(":")[0].strip() for line in out.splitlines()
-                 if line.startswith("  t^")]
-        assert lines == [f"t^{d}" for d in range(1, 7)]
+        assert out.startswith("[pass] magnus") and "cap=6" in out
 
-    @pytest.mark.parametrize("argv, message", [
-        (("--n", "3"), "unrecognized arguments: --n 3"),
-        (("--degree", "2"), "unrecognized arguments: --degree 2"),
-        (("--emit-omega", "--format", "json"), "--emit-omega prints text"),
-    ])
-    def test_options_it_would_ignore_are_usage_errors(self, capsys, argv,
-                                                      message):
-        try:
-            code = main(["magnus", "--structure", "free", *argv])
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert message in captured.err and "Traceback" not in captured.err
+    def test_the_subcommand_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["magnus", "--structure", "free"])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert "invalid choice: 'magnus'" in err and "Traceback" not in err
 
 
 class TestExpandCommand:
     @pytest.mark.parametrize("op", ["w-right", "w-left", "ell", "r", "dynkin",
-                                    "antipode", "comp-right", "comp-left"])
+                                    "antipode", "comp-right", "comp-left",
+                                    "omega"])
     def test_each_operation_runs(self, capsys, op):
         code, out, _ = run(capsys, "expand", "--structure", "shuffle",
                            "--op", op, "--n", "2")
@@ -224,6 +231,16 @@ class TestExpandCommand:
         code, _, err = run(capsys, "expand", "--structure", "shuffle",
                            "--op", "ell", "--n", "0")
         assert code == 2
+
+    def test_theta_is_a_usage_error(self, capsys):
+        """A structure states its weight in its selector; expand used to
+        drop a --theta without a word."""
+        with pytest.raises(SystemExit) as info:
+            main(["expand", "--structure", "free", "--op", "w-right",
+                  "--n", "2", "--theta", "5"])
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert "unrecognized arguments: --theta 5" in err
 
     def test_unknown_op_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -249,7 +266,7 @@ class TestExitCodeContract:
         ("verify", "--suite", "pbw", "--n", "-2"),
         ("verify", "--suite", "axioms", "--degree", "0"),
         ("verify", "--suite", "magnus", "--cap", "0"),
-        ("magnus", "--cap", "-1"),
+        ("verify", "--suite", "magnus", "--structure", "free", "--cap", "-1"),
     ])
     def test_sizes_below_one_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -291,10 +308,11 @@ class TestExitCodeContract:
 
     def test_no_traceback_from_the_entry_point(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "dendralg", "magnus", "--structure",
+            [sys.executable, "-m", "dendralg", "verify", "--structure",
              "rb-seqmat:theta=1/0"],
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 2
+        assert proc.stderr.startswith("dendralg: bad structure")
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("selector", [
@@ -385,7 +403,7 @@ class TestExitCodeContract:
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--suite", "magnus", "--structure", "free", "--cap", "2"),
-        ("magnus", "--structure", "free", "--cap", "1", "--emit-omega"),
+        ("verify", "--suite", "magnus", "--structure", "mr", "--cap", "1"),
         ("verify", "--suite", "rb-spitzer", "--structure", "rb-polymat:k=1",
          "--n", "1"),
     ])
@@ -416,18 +434,19 @@ class TestUnreadOptions:
 
     @pytest.mark.parametrize("selector, code", [
         ("mr", 2), ("rb-polymat:k=2", 2), ("rb-seqmat:theta=1,k=1,N=3", 2),
-        ("rb-seqmat:k=1,N=3", 0),
+        ("rb-seqmat:k=1,N=3", 2),
     ])
     def test_theta_beside_a_structure_needs_its_theta_slot(self, capsys,
                                                            selector, code):
-        returned, out, err = run(capsys, "verify", "--suite", "rb-spitzer",
-                                 "--n", "2", "--structure", selector,
-                                 "--theta", "2/3")
-        assert returned == code
-        if code:
-            assert out == "" and "--theta has no slot to fill" in err
-        else:
-            assert "[pass] rb-spitzer" in out
+        """The slot is the selector's own theta=: a --theta beside any
+        --structure is not read, even where the selector leaves it out."""
+        for suite in ("power-sums", "rb-spitzer"):
+            returned, out, err = run(capsys, "verify", "--suite", suite,
+                                     "--n", "2", "--structure", selector,
+                                     "--theta", "2/3")
+            assert returned == code and out == ""
+            assert err.count("\n") == 1 and "does not read --theta" in err
+            assert "rb-seqmat:theta=2/3" in err
 
 
 # a value for each option of SUITE_OPTIONS that changes what a suite reading
@@ -512,7 +531,8 @@ THETA_OUTCOMES = [
     ('dynkin-prelie', 'max-rev', {'n': 2, 'seed': 0}, 'pass', 2),
     ('dynkin-prelie', 'mr', {'n': 2, 'seed': 0}, 'pass', 2),
     ('dynkin-prelie', 'rb-polymat:k=2', {'n': 2, 'seed': 0}, 'pass', 2),
-    ('dynkin-prelie', 'rb-seqmat', {'n': 2, 'seed': 0}, 'pass', 2),
+    ('dynkin-prelie', 'rb-seqmat:theta=2/3,k=2,N=4',
+     {'n': 2, 'seed': 0}, 'pass', 2),
     ('dynkin-prelie', 'shuffle', {'n': 2, 'seed': 0}, 'pass', 2),
     ('dynkin-prelie', 'words', {'n': 2}, 'pass', 4),
     ('magnus', 'free', {'cap': 3, 'seed': 0}, 'pass', 6),
@@ -520,7 +540,8 @@ THETA_OUTCOMES = [
     ('magnus', 'max-rev', {'cap': 3, 'seed': 0}, 'pass', 6),
     ('magnus', 'mr', {'cap': 3, 'seed': 0}, 'pass', 6),
     ('magnus', 'rb-polymat:k=2', {'cap': 3, 'seed': 0}, 'pass', 6),
-    ('magnus', 'rb-seqmat', {'cap': 3, 'seed': 0}, 'pass', 6),
+    ('magnus', 'rb-seqmat:theta=2/3,k=2,N=4',
+     {'cap': 3, 'seed': 0}, 'pass', 6),
     ('magnus', 'shuffle', {'cap': 3, 'seed': 0}, 'pass', 6),
     ('pbw', 'words', {'n': 2}, 'pass', 3),
     ('power-sums', 'free', {'n': 2, 'seed': 0}, 'pass', 4),
@@ -528,7 +549,8 @@ THETA_OUTCOMES = [
     ('power-sums', 'max-rev', {'n': 2, 'seed': 0}, 'pass', 4),
     ('power-sums', 'mr', {'n': 2, 'seed': 0}, 'pass', 4),
     ('power-sums', 'rb-polymat:k=2', {'n': 2, 'seed': 0}, 'pass', 4),
-    ('power-sums', 'rb-seqmat', {'n': 2, 'seed': 0}, 'pass', 4),
+    ('power-sums', 'rb-seqmat:theta=2/3,k=2,N=4',
+     {'n': 2, 'seed': 0}, 'pass', 4),
     ('power-sums', 'shuffle', {'n': 2, 'seed': 0}, 'pass', 4),
     ('prelie-laws', 'free', {'degree': 3, 'seed': 0, 'trials': 3}, 'pass', 15),
     ('prelie-laws', 'max', {'degree': 3, 'seed': 0, 'trials': 3}, 'pass', 15),
@@ -546,7 +568,8 @@ THETA_OUTCOMES = [
     ('spitzer', 'max', {'n': 2, 'seed': 0}, 'pass', 2),
     ('spitzer', 'mr', {'n': 2, 'seed': 0}, 'pass', 2),
     ('spitzer', 'rb-polymat:k=2', {'n': 2, 'seed': 0}, 'pass', 2),
-    ('spitzer', 'rb-seqmat', {'n': 2, 'seed': 0}, 'pass', 2),
+    ('spitzer', 'rb-seqmat:theta=2/3,k=2,N=4',
+     {'n': 2, 'seed': 0}, 'pass', 2),
     ('spitzer', 'shuffle', {'n': 2, 'seed': 0}, 'pass', 2),
 ]
 
@@ -612,7 +635,8 @@ def test_expand_generator_line(capsys, selector):
     (("verify", "--suite", "spitzer", "--structure", "mr", "--n", "3"), 1, 1),
     (("verify", "--structure", "free", "--n", "2", "--degree", "3",
       "--cap", "3"), 1, 6),
-    (("magnus", "--structure", "free", "--cap", "3", "--emit-omega"), 1, 1),
+    (("verify", "--suite", "magnus", "--structure", "free", "--cap", "3"),
+     1, 1),
 ])
 def test_structure_is_built_once_per_report(capsys, monkeypatch, argv,
                                             cli_builds, suite_builds):
@@ -631,3 +655,53 @@ def test_structure_is_built_once_per_report(capsys, monkeypatch, argv,
     assert code == 0
     assert len(on_it) == suite_builds
     assert builds == {"cli": cli_builds, "suites": suite_builds}
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("--theta", "2/3"), ("--structure", "rb-seqmat:theta=1/2,k=1,N=3"),
+], ids=["default", "theta", "structure"])
+def test_each_label_is_the_selector_its_structure_is_built_from(
+        capsys, monkeypatch, argv):
+    """A report on a structure is labelled with the one selector it was
+    built from, so from_selector(label) alone rebuilds what it verified."""
+    from dendralg import suites
+    built = []
+
+    def recorded(*args, _fn=suites.from_selector, **kwargs):
+        assert len(args) == 1 and not kwargs
+        built.append(args[0])
+        return _fn(*args)
+
+    monkeypatch.setattr(suites, "from_selector", recorded)
+    code, out, _ = run(capsys, "verify", *argv, "--n", "2", "--degree", "3",
+                       "--cap", "3", "--format", "json")
+    labels = [rep["structure"] for rep in json.loads(out)["reports"]
+              if rep["suite"] not in ("census", "convolution", "pbw")
+              and rep["structure"] != "words"]
+    assert code == 0
+    assert sorted(labels) == sorted(built) and len(labels) > 1
+    assert all("theta=" in label for label in labels
+               if label.startswith("rb-seqmat"))
+
+
+# every subcommand's flags: a new one shows up here as a deliberate edit
+CLI_FLAGS = {
+    "list-suites": (),
+    "verify": ("--suite", "--n", "--degree", "--structure", "--cap",
+               "--theta", "--seed", "--format"),
+    "census": ("--n", "--format"),
+    "pbw": ("--n", "--beta", "--format"),
+    "expand": ("--structure", "--op", "--n", "--seed", "--format"),
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = _build_parser()
+    (commands,) = [action.choices for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    flags = {name: tuple(flag for action in sub._actions
+                         for flag in action.option_strings
+                         if flag not in ("-h", "--help"))
+             for name, sub in commands.items()}
+    assert flags == CLI_FLAGS
+    assert len(flags) == 5 and sum(map(len, flags.values())) == 18

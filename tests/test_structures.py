@@ -623,10 +623,13 @@ class TestSelectors:
         assert from_selector("rb-polymat:k=3").backend.k == 3
 
     def test_theta_fill_in(self):
-        assert from_selector("rb-seqmat:k=1,N=3", theta=Fraction(1, 2)).theta \
+        """The weight comes from the selector alone: there is no fill-in,
+        and a selector that omits it builds weight 1."""
+        assert from_selector("rb-seqmat:k=1,N=3").theta == 1
+        assert from_selector("rb-seqmat:theta=1/2,k=1,N=3").theta \
             == Fraction(1, 2)
-        # an explicit selector value wins over the argument
-        assert from_selector("rb-seqmat:theta=1,k=1,N=3", theta=2).theta == 1
+        with pytest.raises(TypeError):
+            from_selector("rb-seqmat:k=1,N=3", theta=Fraction(1, 2))
 
     def test_unicode_theta_key(self):
         assert from_selector("rb-seqmat:θ=-1,k=1,N=3").theta == -1
