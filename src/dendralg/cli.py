@@ -4,9 +4,9 @@ Subcommands: list-suites, verify, census, pbw, expand.  Exit code 0 means
 every requested check passed, 1 means a counterexample was found, and 2
 signals a usage or configuration problem.  With --format json the output is
 schema-stable and, for a fixed seed, byte-deterministic apart from the
-elapsed_ms timing fields.  A structure is named by its selector alone:
---theta re-weights only the default seqmat carriers of verify, and a
---structure states its own weight (rb-seqmat:theta=2/3).
+elapsed_ms timing fields.  A structure is named by its selector alone,
+its weight included (rb-seqmat:theta=2/3), and reports and expansions
+label it with its canonical selector.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ from . import _lazy
 from .dendriform import ell, r as r_fold, w_left, w_right
 from .errors import InvalidPermutation
 from .ncalg import Elem, Word, WORD_SORT
-from .structures import RBStructure, _rational, from_selector
-from .suites import (
-    OPERATOR_SUITES, SUITE_OPTIONS, SUITES, Options, run_suites, suite_names,
-)
+from .structures import RBStructure, from_selector
+from .suites import OPERATOR_SUITES, SUITE_OPTIONS, SUITES, Options, run_suites
 
 import argparse
 import json
@@ -66,8 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--structure", help="structure selector, e.g. shuffle "
                                             "or rb-seqmat:theta=1,k=2,N=4")
     verify.add_argument("--cap", type=int, help="series truncation order")
-    verify.add_argument("--theta", help="weight of the default seqmat "
-                                        "carriers, e.g. 2/3")
     verify.add_argument("--seed", type=int, default=0,
                         help="PRNG seed for random-element checks (default 0)")
     verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -106,24 +102,15 @@ def _options(args, suites=()) -> tuple:
     """Validate the suite options once, for the suites about to run.
 
     Sizes must be at least 1 when given, some requested suite must read
-    each option given (SUITE_OPTIONS), --theta is not read beside
-    --structure, the theta and the selector must parse, the operator suites
-    need an operator structure, and the axioms suite needs a degree bound
-    that admits a triple.  Returns the Options and the structure
-    --structure selects, built once here (None without it).
+    each option given (SUITE_OPTIONS), the selector must parse, the
+    operator suites need an operator structure, and the axioms suite needs
+    a degree bound that admits a triple.  Returns the Options, whose
+    structure is the canonical selector, and the structure --structure
+    selects, built once here (None without it).
     """
-    try:
-        theta = None if args.theta is None else _rational(args.theta)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"cannot parse theta {args.theta!r}")
-    for name in ("structure", "n", "degree", "cap", "theta"):
-        if getattr(args, name) is None:
-            continue
-        if name == "theta" and args.structure:
-            raise UsageError(f"--structure does not read --theta; state the "
-                             f"weight in the selector, as "
-                             f"rb-seqmat:theta={theta}")
-        if not any(name in SUITE_OPTIONS[suite] for suite in suites):
+    for name in ("structure", "n", "degree", "cap"):
+        if getattr(args, name) is not None and not any(
+                name in SUITE_OPTIONS[suite] for suite in suites):
             raise UsageError(f"suite {', '.join(suites)} does not read --{name}")
     for name in ("n", "degree", "cap"):
         value = getattr(args, name)
@@ -145,8 +132,8 @@ def _options(args, suites=()) -> tuple:
         raise UsageError(f"axioms needs --degree >= {3 * low} on "
                          f"{args.structure or 'the graded structures'}: an "
                          f"axiom triple has three keys of degree >= {low}")
-    options = Options(structure=args.structure, n=args.n, degree=args.degree,
-                      cap=args.cap, theta=theta, seed=args.seed)
+    options = Options(structure=None if S is None else S.name, n=args.n,
+                      degree=args.degree, cap=args.cap, seed=args.seed)
     return options, S
 
 
@@ -181,11 +168,11 @@ def _cmd_verify(args) -> int:
         if args.suite not in SUITES:
             raise UsageError(
                 f"unknown suite {args.suite!r}; choose from: "
-                + ", ".join(suite_names()))
+                + ", ".join(SUITES))
         names = [args.suite]
         options, _ = _options(args, names)
     else:
-        names = suite_names()
+        names = list(SUITES)
         plain = [name for name in names if name not in OPERATOR_SUITES]
         options, S = _options(args, plain)
         if S is not None and not isinstance(S, RBStructure):
@@ -263,13 +250,14 @@ def _cmd_pbw(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    if args.n < 0 or (args.n == 0 and args.op in ("ell", "r", "dynkin")):
-        raise UsageError(f"op {args.op} needs --n >= 1")
+    floor = 1 if args.op in ("ell", "r", "dynkin") else 0
+    if args.n < floor:
+        raise UsageError(f"op {args.op} needs --n >= {floor}")
     S = _structure(args.structure)
     a = S.generator(args.seed)
     value = _EXPANSIONS[args.op](S, a, args.n)
     if args.format == "json":
-        print(json.dumps({"structure": args.structure, "op": args.op,
+        print(json.dumps({"structure": S.name, "op": args.op,
                           "n": args.n, "generator": a.render(),
                           "element": value.render()},
                          indent=2, sort_keys=True))

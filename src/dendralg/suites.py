@@ -39,10 +39,7 @@ from .structures import (
 hopf, lyndon, magnus = _lazy("hopf"), _lazy("lyndon"), _lazy("magnus")
 
 __all__ = ["SuiteReport", "Options", "SUITES", "SUITE_OPTIONS",
-           "OPERATOR_SUITES", "run_suites", "suite_names"]
-
-RB_THETAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))
-_SEQMAT = STANDARD_SELECTORS[5]
+           "OPERATOR_SUITES", "run_suites"]
 
 
 class SuiteReport(NamedTuple):
@@ -74,15 +71,15 @@ class Options(NamedTuple):
 
     Sizes are taken as given: the command line refuses sizes below 1, and a
     library caller passing n=0 gets reports with no checks, which fail.
-    theta re-weights the default seqmat carriers only: a structure selector
-    states its own weight, and beside one theta is not read.
+    structure replaces a suite's default structures and labels its report;
+    the command line passes the canonical selector, the built structure's
+    name.
     """
 
     structure: str | None = None
     n: int | None = None
     degree: int | None = None
     cap: int | None = None
-    theta: Fraction | None = None
     seed: int = 0
 
 
@@ -145,41 +142,21 @@ def _given(value, default):
     return default if value is None else value
 
 
-def _seqmat(theta) -> str:
-    """The selector of the standard seqmat carrier at weight theta."""
-    return f"rb-seqmat:theta={theta},k=2,N=4"
-
-
-def _selectors(options: Options, default: tuple,
-               theta_sweep: bool = False) -> tuple:
-    """The selectors a suite runs on: --structure alone if given, else default.
-
-    With theta_sweep, default is followed by the seqmat at every weight of
-    RB_THETAS (only the --theta weight when given) and by rb-polymat.
-    Otherwise --theta re-weights the standard seqmat entry; other entries,
-    such as the seqmat rb-spitzer pins, keep their own weight.
-    """
-    if options.structure:
-        return (options.structure,)
-    if theta_sweep:
-        thetas = RB_THETAS if options.theta is None else (options.theta,)
-        return default + tuple(map(_seqmat, thetas)) + ("rb-polymat:k=2",)
-    if options.theta is None:
-        return default
-    return tuple(_seqmat(options.theta) if s == _SEQMAT else s for s in default)
-
-
 def _reports(suite: str, options: Options, params: dict | None = None,
-             selectors: tuple = (), body=None, free: tuple = ()):
+             defaults: tuple = (), body=None, free: tuple = ()):
     """One zero-argument report maker per report of a suite, in order.
 
     First one per (label, params, check) of free, which runs check(run);
-    then one per selector, labelled with it, which runs body(run, S) on
-    the structure S the label alone rebuilds.
+    then, if the suite has a body, one per structure selector: the
+    options' structure alone if given, else each of defaults.  Each is
+    labelled with its selector and runs body(run, S) on the structure S
+    the label alone rebuilds.
     """
     for label, free_params, check in free:
         yield functools.partial(_report, suite, label, free_params, check)
-    for sel in selectors:
+    if body is None:
+        return
+    for sel in (options.structure,) if options.structure else defaults:
         yield functools.partial(_report, suite, sel, params, body, True)
 
 
@@ -199,6 +176,10 @@ def _report(suite: str, label: str, params: dict, check,
 # ---------------------------------------------------------------------------
 
 GRADED_SELECTORS = ("shuffle", "max", "max-rev", "mr", "free")
+RB_THETAS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))
+# the standard seqmat carrier at every weight of RB_THETAS, then rb-polymat
+RB_SWEEP_SELECTORS = tuple(f"rb-seqmat:theta={theta},k=2,N=4"
+                           for theta in RB_THETAS) + ("rb-polymat:k=2",)
 
 
 def suite_axioms(options: Options):
@@ -217,7 +198,7 @@ def suite_axioms(options: Options):
             }
 
     return _reports("axioms", options, {"degree": degree},
-                    _selectors(options, GRADED_SELECTORS, theta_sweep=True), body)
+                    GRADED_SELECTORS + RB_SWEEP_SELECTORS, body)
 
 
 def suite_prelie_laws(options: Options):
@@ -249,7 +230,7 @@ def suite_prelie_laws(options: Options):
 
     return _reports("prelie-laws", options,
                     {"degree": degree, "seed": options.seed, "trials": trials},
-                    _selectors(options, GRADED_SELECTORS, theta_sweep=True), body)
+                    GRADED_SELECTORS + RB_SWEEP_SELECTORS, body)
 
 
 def suite_dynkin_prelie(options: Options):
@@ -272,7 +253,7 @@ def suite_dynkin_prelie(options: Options):
                       hopf.dynkin_w(S, a, n), ell(S, *([a] * n)))
 
     return _reports("dynkin-prelie", options, {"n": nmax, "seed": options.seed},
-                    _selectors(options, STANDARD_SELECTORS), body,
+                    STANDARD_SELECTORS, body,
                     free=(("words", {"n": nmax}, words),))
 
 
@@ -290,12 +271,12 @@ def suite_power_sums(options: Options):
                       w_left(S, a, n))
 
     return _reports("power-sums", options, {"n": nmax, "seed": options.seed},
-                    _selectors(options, STANDARD_SELECTORS), body)
+                    STANDARD_SELECTORS, body)
 
 
 SPITZER_SELECTORS = ("shuffle", "max", "mr",
                      "rb-seqmat:theta=1,k=2,N=4", "rb-polymat:k=2")
-# a commutative carrier at k = 1, whatever the --theta weight
+# k = 1 carriers, which commute, so the commutative checks run on them
 RB_SPITZER_SELECTORS = ("rb-seqmat:theta=1,k=1,N=5", "rb-polymat:k=1")
 
 
@@ -310,7 +291,7 @@ def suite_spitzer(options: Options):
                   sums["left_chain"], sums["u_sum"])
 
     return _reports("spitzer", options, {"n": n, "seed": options.seed},
-                    _selectors(options, SPITZER_SELECTORS), body)
+                    SPITZER_SELECTORS, body)
 
 
 MAGNUS_CAP = 6   # the default truncation degree of the Magnus series
@@ -341,7 +322,7 @@ def suite_magnus(options: Options):
                  magnus.dynkin_ode_check(S, a, cap))
 
     return _reports("magnus", options, {"cap": cap, "seed": options.seed},
-                    _selectors(options, STANDARD_SELECTORS), body)
+                    STANDARD_SELECTORS, body)
 
 
 def suite_pbw(options: Options):
@@ -427,7 +408,7 @@ def suite_rb_nested(options: Options):
                   nested2, u_sum)
 
     return _reports("rb-nested", options, {"n": n, "seed": options.seed},
-                    _selectors(options, (), theta_sweep=True), body)
+                    RB_SWEEP_SELECTORS, body)
 
 
 def suite_rb_spitzer(options: Options):
@@ -453,7 +434,7 @@ def suite_rb_spitzer(options: Options):
                     prelie_left(S, a, b), prelie_right(primed, a, b))
 
     return _reports("rb-spitzer", options, {"n": n, "seed": options.seed},
-                    _selectors(options, RB_SPITZER_SELECTORS), body)
+                    RB_SPITZER_SELECTORS, body)
 
 
 def suite_convolution(options: Options):
@@ -514,28 +495,23 @@ SUITES = {
 
 
 # the Options fields each suite reads besides seed, which any suite may be
-# given; "theta" re-weights only its default seqmat carriers, as a
-# --structure selector states its own weight
+# given
 SUITE_OPTIONS = {
-    "axioms": ("structure", "degree", "theta"),
-    "prelie-laws": ("structure", "degree", "theta"),
-    "dynkin-prelie": ("structure", "n", "theta"),
-    "power-sums": ("structure", "n", "theta"),
-    "spitzer": ("structure", "n", "theta"),
-    "magnus": ("structure", "cap", "theta"),
+    "axioms": ("structure", "degree"),
+    "prelie-laws": ("structure", "degree"),
+    "dynkin-prelie": ("structure", "n"),
+    "power-sums": ("structure", "n"),
+    "spitzer": ("structure", "n"),
+    "magnus": ("structure", "cap"),
     "pbw": ("n",),
     "census": ("n",),
-    "rb-nested": ("structure", "n", "theta"),
+    "rb-nested": ("structure", "n"),
     "rb-spitzer": ("structure", "n"),
     "convolution": ("n",),
 }
 
 # suites that need an operator-induced (rb-*) structure
 OPERATOR_SUITES = ("rb-nested", "rb-spitzer")
-
-
-def suite_names() -> list:
-    return list(SUITES)
 
 
 def run_suites(names, options: Options) -> list:

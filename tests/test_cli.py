@@ -9,8 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from dendralg import STANDARD_SELECTORS, SUITES, Options, SuiteReport, run_suites
-from dendralg.cli import UsageError, _build_parser, _emit_reports, _options, main
+from dendralg import (
+    STANDARD_SELECTORS, SUITES, Options, SuiteReport, from_selector, run_suites,
+)
+from dendralg.cli import (
+    EXPAND_OPS, UsageError, _build_parser, _emit_reports, _options, main,
+)
 from dendralg.suites import SUITE_OPTIONS
 from test_golden_verify import REQUESTS as GOLDEN_REQUESTS
 
@@ -98,10 +102,22 @@ class TestVerify:
         assert code == 2
         assert "klein-bottle" in err
 
-    def test_bad_theta(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "axioms",
-                           "--theta", "one-half")
-        assert code == 2
+    @pytest.mark.parametrize("selector, label", [
+        ("rb-seqmat:θ=2/4,N=2,k=1", "rb-seqmat:theta=1/2,k=1,N=2"),
+        (" mr", "mr"),
+    ])
+    def test_a_structure_is_labelled_with_its_canonical_selector(
+            self, capsys, selector, label):
+        """One structure, one label: a respelled selector used to label its
+        report with the raw text."""
+        code, out, _ = run(capsys, "verify", "--suite", "power-sums",
+                           "--structure", selector, "--n", "2",
+                           "--format", "json")
+        (report,) = json.loads(out)["reports"]
+        assert code == 0 and report["structure"] == label
+        code, out, _ = run(capsys, "expand", "--structure", selector,
+                           "--op", "w-right", "--n", "2", "--format", "json")
+        assert code == 0 and json.loads(out)["structure"] == label
 
 
 class TestEmitReports:
@@ -232,15 +248,33 @@ class TestExpandCommand:
                            "--op", "ell", "--n", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("op", EXPAND_OPS)
+    def test_n_below_the_floor_names_the_floor(self, capsys, op):
+        """The message used to give every op the floor 1, though the ops
+        other than ell, r and dynkin run at --n 0."""
+        floor = 1 if op in ("ell", "r", "dynkin") else 0
+        code, out, err = run(capsys, "expand", "--structure", "mr",
+                             "--op", op, "--n", str(floor - 1))
+        assert code == 2 and out == ""
+        assert err == f"dendralg: op {op} needs --n >= {floor}\n"
+        code, out, _ = run(capsys, "expand", "--structure", "mr",
+                           "--op", op, "--n", str(floor))
+        assert code == 0 and f"{op}({floor}):" in out
+
     def test_theta_is_a_usage_error(self, capsys):
-        """A structure states its weight in its selector; expand used to
-        drop a --theta without a word."""
-        with pytest.raises(SystemExit) as info:
-            main(["expand", "--structure", "free", "--op", "w-right",
-                  "--n", "2", "--theta", "5"])
-        err = capsys.readouterr().err
-        assert info.value.code == 2
-        assert "unrecognized arguments: --theta 5" in err
+        """A structure states its weight in its selector alone: neither
+        expand nor verify has a --theta."""
+        for argv, theta in (
+                (["expand", "--structure", "free", "--op", "w-right",
+                  "--n", "2"], "5"),
+                (["verify"], "2/3"),
+                (["verify", "--suite", "rb-spitzer"], "2/3")):
+            with pytest.raises(SystemExit) as info:
+                main([*argv, "--theta", theta])
+            err = capsys.readouterr().err
+            assert info.value.code == 2
+            assert f"unrecognized arguments: --theta {theta}" in err
+            assert "Traceback" not in err
 
     def test_unknown_op_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -287,7 +321,7 @@ class TestExitCodeContract:
         assert "rb-seqmat:theta=1/0" in err
 
     def test_typographic_minus_in_selector_parses_like_theta(self, capsys):
-        """--theta and the selector share one rational parser."""
+        """A selector's theta= reads a typographic minus as a minus sign."""
         code, out, _ = run(capsys, "verify", "--suite", "spitzer", "--n", "2",
                            "--structure", "rb-seqmat:theta=−1,k=1,N=3",
                            "--format", "json")
@@ -420,11 +454,10 @@ class TestUnreadOptions:
     @pytest.mark.parametrize("argv, option", [
         (("--suite", "magnus", "--structure", "mr", "--n", "99",
           "--degree", "99"), "--n"),
-        (("--suite", "census", "--structure", "mr", "--theta", "5",
-          "--cap", "99"), "--structure"),
+        (("--suite", "census", "--structure", "mr", "--cap", "99"),
+         "--structure"),
         (("--suite", "convolution", "--structure", "free", "--degree", "9"),
          "--structure"),
-        (("--suite", "rb-spitzer", "--theta", "2/3"), "--theta"),
     ])
     def test_unread_option_is_a_usage_error(self, capsys, argv, option):
         code, out, err = run(capsys, "verify", *argv)
@@ -432,27 +465,10 @@ class TestUnreadOptions:
         assert err.count("\n") == 1 and f"does not read {option}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("selector, code", [
-        ("mr", 2), ("rb-polymat:k=2", 2), ("rb-seqmat:theta=1,k=1,N=3", 2),
-        ("rb-seqmat:k=1,N=3", 2),
-    ])
-    def test_theta_beside_a_structure_needs_its_theta_slot(self, capsys,
-                                                           selector, code):
-        """The slot is the selector's own theta=: a --theta beside any
-        --structure is not read, even where the selector leaves it out."""
-        for suite in ("power-sums", "rb-spitzer"):
-            returned, out, err = run(capsys, "verify", "--suite", suite,
-                                     "--n", "2", "--structure", selector,
-                                     "--theta", "2/3")
-            assert returned == code and out == ""
-            assert err.count("\n") == 1 and "does not read --theta" in err
-            assert "rb-seqmat:theta=2/3" in err
-
 
 # a value for each option of SUITE_OPTIONS that changes what a suite reading
 # it would run
-OPTION_VALUES = {"structure": "rb-polymat:k=1", "n": 2, "degree": 4, "cap": 3,
-                 "theta": 2}
+OPTION_VALUES = {"structure": "rb-polymat:k=1", "n": 2, "degree": 4, "cap": 3}
 
 
 @pytest.mark.parametrize("suite", SUITES)
@@ -467,6 +483,20 @@ def test_suite_options_declare_what_each_suite_reads(suite):
     for name, value in OPTION_VALUES.items():
         assert (plan(**{name: value}) != default) == \
             (name in SUITE_OPTIONS[suite]), name
+
+
+@pytest.mark.parametrize("suite", [suite for suite in SUITES
+                                   if "structure" in SUITE_OPTIONS[suite]])
+def test_each_default_selector_is_canonical(suite):
+    """A default structure's label is the name of the structure it builds,
+    so a default and its --structure spelling share one label."""
+    # a structure report's maker is partial(_report, suite, label, params,
+    # body, True); a structure-free one has no fifth argument
+    labels = [maker.args[1] for maker in SUITES[suite][0](Options())
+              if len(maker.args) == 5]
+    assert labels
+    for label in labels:
+        assert from_selector(label).name == label
 
 
 def _benchmark_workloads():
@@ -514,7 +544,7 @@ def _outcomes(out: str) -> list:
              rep["checks"]) for rep in json.loads(out)["reports"]]
 
 
-# `verify --theta 2/3 --n 2 --degree 3 --cap 3`
+# `verify --theta 2/3 --n 2 --degree 3 --cap 3`, before --theta was removed
 THETA_OUTCOMES = [
     ('axioms', 'free', {'degree': 3}, 'pass', 3),
     ('axioms', 'max', {'degree': 3}, 'pass', 81),
@@ -574,11 +604,17 @@ THETA_OUTCOMES = [
 ]
 
 
-def test_theta_run_keeps_its_reports(capsys):
-    code, out, _ = run(capsys, "verify", "--theta", "2/3", "--n", "2",
-                       "--degree", "3", "--cap", "3", "--format", "json")
-    assert code == 0
-    assert _outcomes(out) == THETA_OUTCOMES
+def test_theta_outcomes_are_kept_by_the_default_and_a_selector(capsys):
+    """Each report the weight-2/3 run made is made by the default run or
+    by the weight-2/3 seqmat named as --structure."""
+    outcomes = []
+    for argv in ((), ("--structure", "rb-seqmat:theta=2/3,k=2,N=4")):
+        code, out, _ = run(capsys, "verify", *argv, "--n", "2", "--degree",
+                           "3", "--cap", "3", "--format", "json")
+        assert code == 0
+        outcomes += _outcomes(out)
+    missing = [o for o in THETA_OUTCOMES if o not in outcomes]
+    assert not missing
 
 
 # `verify --structure free --n 2 --degree 3 --cap 3`
@@ -658,8 +694,9 @@ def test_structure_is_built_once_per_report(capsys, monkeypatch, argv,
 
 
 @pytest.mark.parametrize("argv", [
-    (), ("--theta", "2/3"), ("--structure", "rb-seqmat:theta=1/2,k=1,N=3"),
-], ids=["default", "theta", "structure"])
+    (), ("--structure", "rb-seqmat:theta=1/2,k=1,N=3"),
+    ("--structure", "rb-seqmat:N=3,θ=2/4,k=1"),
+], ids=["default", "structure", "respelled"])
 def test_each_label_is_the_selector_its_structure_is_built_from(
         capsys, monkeypatch, argv):
     """A report on a structure is labelled with the one selector it was
@@ -688,7 +725,7 @@ def test_each_label_is_the_selector_its_structure_is_built_from(
 CLI_FLAGS = {
     "list-suites": (),
     "verify": ("--suite", "--n", "--degree", "--structure", "--cap",
-               "--theta", "--seed", "--format"),
+               "--seed", "--format"),
     "census": ("--n", "--format"),
     "pbw": ("--n", "--beta", "--format"),
     "expand": ("--structure", "--op", "--n", "--seed", "--format"),
@@ -704,4 +741,4 @@ def test_cli_surface_is_pinned():
                          if flag not in ("-h", "--help"))
              for name, sub in commands.items()}
     assert flags == CLI_FLAGS
-    assert len(flags) == 5 and sum(map(len, flags.values())) == 18
+    assert len(flags) == 5 and sum(map(len, flags.values())) == 17
