@@ -1,8 +1,8 @@
 """Command-line front end for the verification suites and expansions.
 
-Subcommands: list-suites, verify, census, pbw, expand.  Exit code 0 means
-every requested check passed, 1 means a counterexample was found, and 2
-signals a usage or configuration problem.  With --format json the output is
+Subcommands: list-suites, verify, expand.  Exit code 0 means every
+requested check passed, 1 means a counterexample was found, and 2 signals a
+usage or configuration problem.  With --format json the output is
 schema-stable and, for a fixed seed, byte-deterministic apart from the
 elapsed_ms timing fields.  A structure is named by its selector alone,
 its weight included (rb-seqmat:theta=2/3), and reports and expansions
@@ -15,8 +15,6 @@ from __future__ import annotations
 # loaded lowers a request's peak resident set by about 0.3 MB.
 from . import _lazy
 from .dendriform import ell, r as r_fold, w_left, w_right
-from .errors import InvalidPermutation
-from .ncalg import Elem, Word, WORD_SORT
 from .structures import RBStructure, from_selector
 from .suites import OPERATOR_SUITES, SUITE_OPTIONS, SUITES, Options, run_suites
 
@@ -25,7 +23,7 @@ import json
 import sys
 
 # executed on first use, as in suites
-hopf, lyndon, magnus = _lazy("hopf"), _lazy("lyndon"), _lazy("magnus")
+hopf, magnus = _lazy("hopf"), _lazy("magnus")
 
 
 class UsageError(Exception):
@@ -69,18 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.set_defaults(handler=_cmd_verify)
 
-    census = sub.add_parser("census", help="tabulate permutations by E-block type")
-    census.add_argument("--n", type=int, default=5)
-    census.add_argument("--format", choices=("text", "json"), default="text")
-    census.set_defaults(handler=_cmd_census)
-
-    pbw = sub.add_parser("pbw", help="print a bracketed E-block expansion")
-    pbw.add_argument("--n", type=int, help="size of the default beta (4)")
-    pbw.add_argument("--beta", help="relabelling in one-line notation, e.g. 4,3,2,1 "
-                                    "(default: the order reversal of size n)")
-    pbw.add_argument("--format", choices=("text", "json"), default="text")
-    pbw.set_defaults(handler=_cmd_pbw)
-
     ex = sub.add_parser("expand", help="print one expansion of a generator")
     ex.add_argument("--structure", required=True)
     ex.add_argument("--op", required=True, choices=EXPAND_OPS)
@@ -120,7 +106,7 @@ def _options(args, suites=()) -> tuple:
     # start at degree 1
     low = 1
     S = None
-    if args.structure:
+    if args.structure is not None:
         S = _structure(args.structure)
         wrong = [name for name in suites if name in OPERATOR_SUITES]
         if wrong and not isinstance(S, RBStructure):
@@ -164,7 +150,7 @@ def _cmd_list_suites(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite:
+    if args.suite is not None:
         if args.suite not in SUITES:
             raise UsageError(
                 f"unknown suite {args.suite!r}; choose from: "
@@ -179,74 +165,6 @@ def _cmd_verify(args) -> int:
             # the operator suites do not apply to the chosen structure
             names = plain
     return _emit_reports(run_suites(names, options), args.format)
-
-
-def _cmd_census(args) -> int:
-    n = args.n
-    if n < 1:
-        raise UsageError("census needs --n >= 1")
-    census = lyndon.lyndon_census(n)
-    rows = [{"composition": list(comp), "count": count,
-             "formula": lyndon.census_formula(comp)}
-            for comp, count in sorted(census.items())]
-    ok = all(row["count"] == row["formula"] for row in rows)
-    total = sum(census.values())
-    if args.format == "json":
-        print(json.dumps({"n": n, "rows": rows, "total": total,
-                          "matches_formula": ok}, indent=2, sort_keys=True))
-    else:
-        width = max(len(repr(tuple(row["composition"]))) for row in rows)
-        for row in rows:
-            comp = repr(tuple(row["composition"]))
-            print(f"{comp:<{width}}  count={row['count']:<8} "
-                  f"formula={row['formula']}")
-        print(f"total {total} permutations over {len(rows)} compositions; "
-              f"formula {'matches' if ok else 'DISAGREES'}")
-    return 0 if ok else 1
-
-
-def _parse_beta(text: str):
-    text = text.strip()
-    if "," in text:
-        parts = [p for p in text.split(",") if p.strip()]
-    else:
-        parts = list(text)
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"cannot parse one-line permutation {text!r}")
-
-
-def _cmd_pbw(args) -> int:
-    if args.beta is None:
-        n = 4 if args.n is None else args.n
-        if n < 1:
-            raise UsageError("pbw needs --n >= 1")
-        image = tuple(range(n, 0, -1))
-    elif args.n is not None:
-        raise UsageError("--beta fixes n; give --beta or --n, not both")
-    else:
-        image = _parse_beta(args.beta)
-    if not image:
-        raise UsageError("pbw needs a nonempty permutation")
-    try:
-        expansion = lyndon.pbw_expansion(image)
-    except InvalidPermutation as exc:
-        raise UsageError(str(exc))
-    n = len(image)
-    target = Elem.term(WORD_SORT, Word(tuple(range(1, n + 1))))
-    ok = expansion == target
-    if args.format == "json":
-        print(json.dumps({"beta": list(image),
-                          "expansion": expansion.render(),
-                          "terms": len(expansion),
-                          "matches_word": ok}, indent=2, sort_keys=True))
-    else:
-        print(f"beta = {image}")
-        print(f"expansion ({len(expansion)} words once expanded):")
-        print(f"  {expansion.render()}")
-        print(f"equals x1..x{n}: {'yes' if ok else 'NO'}")
-    return 0 if ok else 1
 
 
 def _cmd_expand(args) -> int:

@@ -8,8 +8,9 @@ no tolerances anywhere: a suite passes only on equality on the nose.
 
 A suite is its check body plus one call to `_reports`.  Every report is
 made by `_report`: it opens a `_Run`, which starts the clock, builds the
-report's structure, if it has one, from its label (the complete selector)
-alone, runs the body and closes the run.
+report's structure, if it has one, from its selector alone, labels the
+report with the structure's canonical selector, runs the body and closes
+the run.
 
 Random elements are drawn from a PRNG seeded through the options, so two
 runs with the same seed compare byte-for-byte (timings aside).
@@ -71,9 +72,9 @@ class Options(NamedTuple):
 
     Sizes are taken as given: the command line refuses sizes below 1, and a
     library caller passing n=0 gets reports with no checks, which fail.
-    structure replaces a suite's default structures and labels its report;
-    the command line passes the canonical selector, the built structure's
-    name.
+    structure, when not None, replaces a suite's default structures; its
+    reports are labelled with the built structure's name, the canonical
+    selector, however it was spelled.
     """
 
     structure: str | None = None
@@ -148,24 +149,27 @@ def _reports(suite: str, options: Options, params: dict | None = None,
 
     First one per (label, params, check) of free, which runs check(run);
     then, if the suite has a body, one per structure selector: the
-    options' structure alone if given, else each of defaults.  Each is
-    labelled with its selector and runs body(run, S) on the structure S
-    the label alone rebuilds.
+    options' structure alone if given, else each of defaults.  Each
+    builds its structure S from the selector alone, is labelled with S's
+    name and runs body(run, S).
     """
     for label, free_params, check in free:
         yield functools.partial(_report, suite, label, free_params, check)
     if body is None:
         return
-    for sel in (options.structure,) if options.structure else defaults:
+    for sel in defaults if options.structure is None else (options.structure,):
         yield functools.partial(_report, suite, sel, params, body, True)
 
 
 def _report(suite: str, label: str, params: dict, check,
             built: bool = False) -> SuiteReport:
-    """Open one report, build S from the label if built, check, close."""
+    """Open one report; if built, build S from the label and relabel the
+    report with S.name, the canonical selector; check; close."""
     run = _Run(suite, label, params)
     if built:
-        check(run, from_selector(label))
+        S = from_selector(label)
+        run.structure = S.name
+        check(run, S)
     else:
         check(run)
     return run.report()

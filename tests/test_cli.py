@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output formats, determinism."""
 
 import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -92,15 +94,19 @@ class TestVerify:
         assert report["checks"] == 2
 
     def test_unknown_suite(self, capsys):
-        code, out, err = run(capsys, "verify", "--suite", "nope")
-        assert code == 2
-        assert "unknown suite" in err
+        """An empty suite name used to run every suite."""
+        for name in ("nope", ""):
+            code, out, err = run(capsys, "verify", "--suite", name)
+            assert code == 2 and out == ""
+            assert err.startswith(f"dendralg: unknown suite {name!r}")
 
     def test_unknown_structure(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "axioms",
-                           "--structure", "klein-bottle")
-        assert code == 2
-        assert "klein-bottle" in err
+        """An empty selector used to be taken as no selector at all."""
+        for selector in ("klein-bottle", ""):
+            code, out, err = run(capsys, "verify", "--suite", "axioms",
+                                 "--structure", selector)
+            assert code == 2 and out == ""
+            assert err.startswith(f"dendralg: bad structure {selector!r}")
 
     @pytest.mark.parametrize("selector, label", [
         ("rb-seqmat:θ=2/4,N=2,k=1", "rb-seqmat:theta=1/2,k=1,N=2"),
@@ -109,12 +115,14 @@ class TestVerify:
     def test_a_structure_is_labelled_with_its_canonical_selector(
             self, capsys, selector, label):
         """One structure, one label: a respelled selector used to label its
-        report with the raw text."""
+        report with the raw text, and still did for a library caller."""
         code, out, _ = run(capsys, "verify", "--suite", "power-sums",
                            "--structure", selector, "--n", "2",
                            "--format", "json")
         (report,) = json.loads(out)["reports"]
         assert code == 0 and report["structure"] == label
+        (report,) = run_suites(["power-sums"], Options(structure=selector, n=1))
+        assert report.status == "pass" and report.structure == label
         code, out, _ = run(capsys, "expand", "--structure", selector,
                            "--op", "w-right", "--n", "2", "--format", "json")
         assert code == 0 and json.loads(out)["structure"] == label
@@ -144,65 +152,10 @@ class TestEmitReports:
         assert statuses == ["pass", "fail"]
 
 
-class TestCensusCommand:
-    def test_table(self, capsys):
-        code, out, _ = run(capsys, "census", "--n", "3")
-        assert code == 0
-        assert "(1, 1, 1)" in out and "count=1" in out
-        assert "total 6 permutations over 4 compositions" in out
-        assert "formula matches" in out
-
-    def test_json(self, capsys):
-        code, out, _ = run(capsys, "census", "--n", "4", "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["total"] == 24
-        assert payload["matches_formula"] is True
-        assert len(payload["rows"]) == 8
-
-    def test_rejects_zero(self, capsys):
-        code, _, err = run(capsys, "census", "--n", "0")
-        assert code == 2
-        assert "census" in err
-
-
-class TestPBWCommand:
-    def test_default_beta_is_the_reversal(self, capsys):
-        code, out, _ = run(capsys, "pbw", "--n", "3")
-        assert code == 0
-        assert "beta = (3, 2, 1)" in out
-        assert "equals x1..x3: yes" in out
-
-    def test_beta_spellings_agree(self, capsys):
-        _, long_form, _ = run(capsys, "pbw", "--beta", "2,1,3")
-        _, compact, _ = run(capsys, "pbw", "--beta", "213")
-        assert long_form == compact
-
-    def test_json(self, capsys):
-        code, out, _ = run(capsys, "pbw", "--n", "2", "--format", "json")
-        payload = json.loads(out)
-        assert code == 0
-        assert payload["matches_word"] is True
-        assert payload["beta"] == [2, 1]
-
-    def test_invalid_permutation(self, capsys):
-        code, _, err = run(capsys, "pbw", "--beta", "1,3")
-        assert code == 2
-
-    def test_rejects_empty(self, capsys):
-        code, _, err = run(capsys, "pbw", "--n", "0")
-        assert code == 2
-
-    def test_n_beside_beta_is_a_usage_error(self, capsys):
-        """--beta fixes n, so a --n beside it was silently ignored."""
-        code, out, err = run(capsys, "pbw", "--beta", "2,1", "--n", "7")
-        assert code == 2 and out == ""
-        assert err.count("\n") == 1 and "--beta fixes n" in err
-
-
 class TestMagnusCommand:
     """The magnus subcommand is gone: its checks are verify --suite magnus
-    and its --emit-omega lines are expand --op omega."""
+    and its --emit-omega lines are expand --op omega.  So are census and
+    pbw, whose one case each is a case of verify --suite census or pbw."""
 
     # `magnus --structure free --cap 3 --emit-omega` before the fold
     EMITTED = (
@@ -226,11 +179,14 @@ class TestMagnusCommand:
         assert out.startswith("[pass] magnus") and "cap=6" in out
 
     def test_the_subcommand_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as info:
-            main(["magnus", "--structure", "free"])
-        err = capsys.readouterr().err
-        assert info.value.code == 2
-        assert "invalid choice: 'magnus'" in err and "Traceback" not in err
+        for argv in (("magnus", "--structure", "free"), ("census", "--n", "3"),
+                     ("pbw", "--beta", "2,1")):
+            with pytest.raises(SystemExit) as info:
+                main(list(argv))
+            err = capsys.readouterr().err
+            assert info.value.code == 2
+            assert f"invalid choice: '{argv[0]}'" in err
+            assert "Traceback" not in err
 
 
 class TestExpandCommand:
@@ -550,6 +506,31 @@ def test_module_entry_point():
     assert "[pass] census" in proc.stdout
 
 
+def _recorded_verify(*argv):
+    """`verify ARGV --n 2 --degree 3 --cap 3 --format json`: its exit code,
+    its output and the selectors suites.from_selector was called with."""
+    from dendralg import suites
+    built = []
+
+    def recorded(*args, _fn=suites.from_selector, **kwargs):
+        assert len(args) == 1 and not kwargs
+        built.append(args[0])
+        return _fn(*args)
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(suites, "from_selector", recorded)
+        code = main(["verify", *argv, "--n", "2", "--degree", "3", "--cap", "3",
+                     "--format", "json"])
+    return code, out.getvalue(), built
+
+
+@pytest.fixture(scope="module")
+def default_verify():
+    """The whole default run, made once for the tests that read it."""
+    return _recorded_verify()
+
+
 # -- outcomes pinned before the suite layer was merged -----------------------
 
 def _outcomes(out: str) -> list:
@@ -617,13 +598,13 @@ THETA_OUTCOMES = [
 ]
 
 
-def test_theta_outcomes_are_kept_by_the_default_and_a_selector(capsys):
+def test_theta_outcomes_are_kept_by_the_default_and_a_selector(
+        default_verify):
     """Each report the weight-2/3 run made is made by the default run or
     by the weight-2/3 seqmat named as --structure."""
     outcomes = []
-    for argv in ((), ("--structure", "rb-seqmat:theta=2/3,k=2,N=4")):
-        code, out, _ = run(capsys, "verify", *argv, "--n", "2", "--degree",
-                           "3", "--cap", "3", "--format", "json")
+    for code, out, _ in (default_verify, _recorded_verify(
+            "--structure", "rb-seqmat:theta=2/3,k=2,N=4")):
         assert code == 0
         outcomes += _outcomes(out)
     missing = [o for o in THETA_OUTCOMES if o not in outcomes]
@@ -711,20 +692,11 @@ def test_structure_is_built_once_per_report(capsys, monkeypatch, argv,
     ("--structure", "rb-seqmat:N=3,θ=2/4,k=1"),
 ], ids=["default", "structure", "respelled"])
 def test_each_label_is_the_selector_its_structure_is_built_from(
-        capsys, monkeypatch, argv):
+        request, argv):
     """A report on a structure is labelled with the one selector it was
     built from, so from_selector(label) alone rebuilds what it verified."""
-    from dendralg import suites
-    built = []
-
-    def recorded(*args, _fn=suites.from_selector, **kwargs):
-        assert len(args) == 1 and not kwargs
-        built.append(args[0])
-        return _fn(*args)
-
-    monkeypatch.setattr(suites, "from_selector", recorded)
-    code, out, _ = run(capsys, "verify", *argv, "--n", "2", "--degree", "3",
-                       "--cap", "3", "--format", "json")
+    code, out, built = (_recorded_verify(*argv) if argv
+                        else request.getfixturevalue("default_verify"))
     labels = [rep["structure"] for rep in json.loads(out)["reports"]
               if rep["suite"] not in ("census", "convolution", "pbw")
               and rep["structure"] != "words"]
@@ -739,8 +711,6 @@ CLI_FLAGS = {
     "list-suites": (),
     "verify": ("--suite", "--n", "--degree", "--structure", "--cap",
                "--seed", "--format"),
-    "census": ("--n", "--format"),
-    "pbw": ("--n", "--beta", "--format"),
     "expand": ("--structure", "--op", "--n", "--seed", "--format"),
 }
 
@@ -754,4 +724,4 @@ def test_cli_surface_is_pinned():
                          if flag not in ("-h", "--help"))
              for name, sub in commands.items()}
     assert flags == CLI_FLAGS
-    assert len(flags) == 5 and sum(map(len, flags.values())) == 17
+    assert len(flags) == 3 and sum(map(len, flags.values())) == 12
