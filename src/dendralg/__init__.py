@@ -33,14 +33,14 @@ _EXPORTS = {
     ),
     "hopf": (
         "comp_antipode", "comp_coproduct", "comp_dynkin", "compositions",
-        "comp_denominator", "convolution_expansion", "convolve", "dynkin_w",
+        "comp_denominator", "convolution_expansion", "dynkin_w",
         "dynkin_word", "gamma", "ordered_partition_expansion", "w_antipode",
         "w_left_from_compositions", "w_right_from_compositions",
     ),
     "lyndon": (
-        "bohnenblust_spitzer_check", "census_formula", "cfl_factorize",
-        "is_lyndon", "lyn_set", "lyndon_census", "pbw_expansion", "profile",
-        "spitzer_sums", "t_sigma", "u_sigma",
+        "census_formula", "cfl_factorize", "is_lyndon", "lyn_set",
+        "lyndon_census", "pbw_expansion", "profile", "spitzer_sums", "t_sigma",
+        "u_sigma",
     ),
     "magnus": (
         "bernoulli_numbers", "dynkin_ode_check", "magnus_omega",

@@ -5,11 +5,11 @@ Two Hopf-flavoured settings live here.
 On the word algebra (concatenation product), the Dynkin operator is the
 left-to-right iterated bracketing D(y1...yn) = [...[[y1,y2],y3]...,yn], in
 closed form the sum over subsets A of {y2..yn} of (-1)^|A| (A read
-backwards) y1 (the rest read forwards).  The convolution product of graded
-endomorphisms uses the unshuffle coproduct, which distributes the letters of
-a word over the two tensor factors across all complementary position
-subsets, of size d only when the left factor is homogeneous of degree d; the
-product is homogeneous of the sum of its factors' degrees.
+backwards) y1 (the rest read forwards).  Its graded pieces D_i, zero off
+length i, convolve through the unshuffle coproduct, which distributes the
+letters of a word over the factors across complementary position subsets;
+as D_i is homogeneous, a factor takes only subsets of size i.  Weighted by
+the composition denominators, these convolutions sum to the identity.
 
 The power sums w>(n) of a single dendriform element generate a free
 associative algebra whose basis is indexed by compositions; the coproduct
@@ -37,9 +37,8 @@ from .ncalg import (
 )
 
 __all__ = [
-    "concat_mul", "dynkin_word", "GradedEndo", "counit_unit_endo",
-    "projection_endo", "dynkin_degree_endo", "convolve", "convolve_many",
-    "convolution_expansion", "ordered_partition_expansion",
+    "concat_mul", "dynkin_word", "convolution_expansion",
+    "ordered_partition_expansion",
     "COMP_SORT", "compositions", "comp_denominator", "comp_elem", "comp_mul",
     "comp_coproduct", "comp_antipode", "comp_grading", "comp_dynkin",
     "comp_dynkin_apply", "w_antipode", "dynkin_w", "eval_comp",
@@ -102,84 +101,22 @@ def dynkin_word(w) -> Elem:
     return _words(_accumulate({}, _bracket_terms(w)))
 
 
-class GradedEndo:
-    """A linear endomorphism of the word algebra, given on basis words, that
-    vanishes outside words of length degree (None: not known homogeneous)."""
-
-    __slots__ = ("name", "fn", "degree")
-
-    def __init__(self, name: str, fn, degree: int | None = None):
-        self.name = name
-        self.fn = fn
-        self.degree = degree
-
-    def __call__(self, w) -> Elem:
-        if isinstance(w, Elem) and w.sort == WORD_SORT:
-            return w.map_keys(self.fn)
-        if not isinstance(w, Word):
-            raise SortMismatch("graded endomorphisms act on word elements")
-        image = self.fn(w)
-        if not isinstance(image, Elem) or image.sort != WORD_SORT:
-            raise SortMismatch(f"{self.name} sends {w} outside the word algebra")
-        return image
-
-    def __repr__(self):
-        return f"<GradedEndo {self.name}>"
-
-
-def counit_unit_endo() -> GradedEndo:
-    """Unit-after-counit: kills positive degree, fixes the empty word."""
-    return GradedEndo("eta.eps", lambda w: Elem.zero(WORD_SORT) if len(w)
-                      else Elem.unit(WORD_SORT), 0)
-
-
-def projection_endo(n: int) -> GradedEndo:
-    return GradedEndo(f"p{n}", lambda w: Elem.term(WORD_SORT, w) if len(w) == n
-                      else Elem.zero(WORD_SORT), n)
-
-
-def dynkin_degree_endo(n: int) -> GradedEndo:
-    """The Dynkin operator restricted to degree n (zero elsewhere)."""
-    if n < 1:
-        raise ValueError("the graded Dynkin pieces start at degree 1")
-    return GradedEndo(f"D{n}", lambda w: dynkin_word(w) if len(w) == n
-                      else Elem.zero(WORD_SORT), n)
-
-
-def convolve(f: GradedEndo, g: GradedEndo) -> GradedEndo:
-    """Convolution with the unshuffle coproduct.
-
-    (f * g)(w) distributes the letters of w over the two factors across all
-    complementary position subsets and concatenates the images; only left
-    subsets of size f.degree are tried when f is homogeneous.
-    """
-    def fn(w: Word) -> Elem:
-        n = len(w)
-        data: dict = {}
-        for k in range(n + 1) if f.degree is None else (f.degree,):
-            for picked in itertools.combinations(range(n), k):
-                left = Word._trusted(w[i] for i in picked)
-                right = Word._trusted(w[i] for i in range(n) if i not in picked)
-                fl = f(left)._terms
-                if not fl:
-                    continue
-                gr = g(right)._terms
-                for u, c in fl.items():
-                    _accumulate(data, ((u + v, c * d) for v, d in gr.items()))
-        return Elem._trusted(WORD_SORT, data)
-
-    degree = None if None in (f.degree, g.degree) else f.degree + g.degree
-    return GradedEndo(f"({f.name}*{g.name})", fn, degree)
-
-
-def convolve_many(endos) -> GradedEndo:
-    endos = list(endos)
-    if not endos:
-        return counit_unit_endo()
-    acc = endos[0]
-    for e in endos[1:]:
-        acc = convolve(acc, e)
-    return acc
+def _dynkin_convolution(comp: tuple, w: tuple) -> dict:
+    """(D_{i1} * ... * D_{ik})(w) as a letters -> coefficient dict: the last
+    piece brackets the letters at each ik-subset of positions, the others
+    convolve the rest, and the images concatenate.  The empty composition
+    is the unit, fixing the empty word and killing every other."""
+    if not comp:
+        return {} if w else {(): 1}
+    n, data = len(w), {}
+    for picked in itertools.combinations(range(n), comp[-1]):
+        left = _dynkin_convolution(
+            comp[:-1], tuple(w[i] for i in range(n) if i not in picked))
+        if left:
+            right = _bracket_terms(tuple(w[i] for i in picked))
+            _accumulate(data, ((u + v, c * d) for u, c in left.items()
+                               for v, d in right))
+    return data
 
 
 def convolution_expansion(n: int) -> Elem:
@@ -188,9 +125,9 @@ def convolution_expansion(n: int) -> Elem:
     The result equals x1...xn itself: the graded Dynkin pieces assembled with
     composition denominators reconstruct the identity endomorphism.
     """
-    word = Word(tuple(range(1, n + 1)))
+    word = tuple(range(1, n + 1))
     return linear_combination(WORD_SORT, (
-        (convolve_many(dynkin_degree_endo(i) for i in comp)(word),
+        (_words(_dynkin_convolution(comp, word)),
          Fraction(1, comp_denominator(comp)))
         for comp in compositions(n)))
 

@@ -38,9 +38,8 @@ from .ncalg import Elem, Perm, _accumulate, _words, elem_sum
 __all__ = [
     "Profile", "profile", "omega_conjugate", "t_sigma", "u_sigma",
     "spitzer_sums", "chain_sum", "right_chain_sum", "e_block_sum",
-    "f_block_sum", "bohnenblust_spitzer_check", "is_lyndon",
-    "cfl_factorize", "lyn_set", "pbw_expansion", "lyndon_census",
-    "census_formula",
+    "f_block_sum", "is_lyndon", "cfl_factorize", "lyn_set",
+    "pbw_expansion", "lyndon_census", "census_formula",
 ]
 
 
@@ -118,30 +117,28 @@ def omega_conjugate(sigma) -> Perm:
     return Perm._trusted(n + 1 - v for v in reversed(sigma))
 
 
-def t_sigma(S: DendriformStructure, sigma, args) -> Elem:
-    """Product over E-blocks of the iterated left pre-Lie word on the block values."""
+def _block_product(S: DendriformStructure, sigma, args, values: str,
+                   word) -> Elem:
+    """The star product, over the blocks of the profile field `values`, of
+    word(S, *the arguments that the block's values index)."""
     p = sigma if isinstance(sigma, Profile) else profile(sigma)
     args = list(args)
     if len(args) != p.sigma.n:
-        raise EmptyArgumentList(
-            f"need {p.sigma.n} arguments, got {len(args)}")
+        raise EmptyArgumentList(f"need {p.sigma.n} arguments, got {len(args)}")
     acc = S.unit()
-    for vals in p.e_values:
-        acc = S.star(acc, ell(S, *(args[v - 1] for v in vals)))
+    for vals in getattr(p, values):
+        acc = S.star(acc, word(S, *(args[v - 1] for v in vals)))
     return acc
+
+
+def t_sigma(S: DendriformStructure, sigma, args) -> Elem:
+    """Product over E-blocks of the iterated left pre-Lie word on the block values."""
+    return _block_product(S, sigma, args, "e_values", ell)
 
 
 def u_sigma(S: DendriformStructure, sigma, args) -> Elem:
     """Product over F-blocks of the iterated right pre-Lie word on the block values."""
-    p = sigma if isinstance(sigma, Profile) else profile(sigma)
-    args = list(args)
-    if len(args) != p.sigma.n:
-        raise EmptyArgumentList(
-            f"need {p.sigma.n} arguments, got {len(args)}")
-    acc = S.unit()
-    for vals in p.f_values:
-        acc = S.star(acc, r(S, *(args[v - 1] for v in vals)))
-    return acc
+    return _block_product(S, sigma, args, "f_values", r)
 
 
 def _chains(args: list, op):
@@ -239,14 +236,6 @@ def spitzer_sums(S: DendriformStructure, args) -> dict:
         "left_chain": _dual(right_chain_sum, S, args),
         "u_sum": f_block_sum(S, args),
     }
-
-
-def bohnenblust_spitzer_check(S: DendriformStructure, args) -> dict:
-    """Evaluate both symmetrized identities; adds right_ok/left_ok verdicts."""
-    sums = spitzer_sums(S, args)
-    sums["right_ok"] = sums["right_chain"] == sums["t_sum"]
-    sums["left_ok"] = sums["left_chain"] == sums["u_sum"]
-    return sums
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,17 @@ class FreeStructure(DendriformStructure):
 # no carrier key is the empty tuple
 ADJOINED_UNIT = ()
 
+# The most keys one degree of an operator carrier may hold.  The weight check
+# lists every key, so a larger carrier is refused, not left to stall; the
+# largest carrier in use (k=4, N=32) has 512.
+MAX_CARRIER_KEYS = 4096
+
+
+def _check_carrier_size(name: str, keys: int):
+    if keys > MAX_CARRIER_KEYS:
+        raise ValueError(f"{name} has {keys} keys per degree, more than "
+                         f"the {MAX_CARRIER_KEYS} allowed")
+
 
 def _carrier_check(name: str, b0, b1, b2):
     """The key check of an operator carrier: the unit, or a triple of ints
@@ -341,6 +352,7 @@ class SeqMatBackend:
         if self.k < 1 or self.N < 1:
             raise ValueError("need k >= 1 and N >= 1")
         name = f"seqmat[k={self.k},N={self.N}]"
+        _check_carrier_size(name, self.N * self.k ** 2)
         self.sort = BasisSort(
             name,
             ADJOINED_UNIT,
@@ -384,6 +396,7 @@ class PolyMatBackend:
         if self.k < 1:
             raise ValueError("need k >= 1")
         name = f"polymat[k={self.k}]"
+        _check_carrier_size(name, self.k ** 2)
         self.sort = BasisSort(
             name,
             ADJOINED_UNIT,

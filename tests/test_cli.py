@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -294,6 +295,17 @@ class TestExitCodeContract:
                              "--n", "2", "--structure", selector)
         assert code == 2
         assert out == "" and "repeats parameter" in err
+
+    def test_an_oversized_carrier_is_refused_at_once(self, capsys):
+        """The weight check listed all N k^2 carrier keys before sampling
+        pairs, so this ran until killed."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--suite", "axioms",
+                             "--structure", f"rb-seqmat:theta=1,k={10**8},N=4")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("dendralg: bad structure")
+        assert err.count("\n") == 1 and "40000000000000000 keys" in err
 
     def test_no_traceback_from_the_entry_point(self):
         proc = subprocess.run(

@@ -106,12 +106,11 @@ PUBLIC = {
               "InvalidPermutation NormalizationError RBWeightCheckFailure "
               "SortMismatch UnitMisuse",
     "hopf": "comp_antipode comp_coproduct comp_dynkin compositions "
-            "comp_denominator convolution_expansion convolve dynkin_w "
-            "dynkin_word gamma ordered_partition_expansion w_antipode "
+            "comp_denominator convolution_expansion dynkin_w dynkin_word "
+            "gamma ordered_partition_expansion w_antipode "
             "w_left_from_compositions w_right_from_compositions",
-    "lyndon": "bohnenblust_spitzer_check census_formula cfl_factorize "
-              "is_lyndon lyn_set lyndon_census pbw_expansion profile "
-              "spitzer_sums t_sigma u_sigma",
+    "lyndon": "census_formula cfl_factorize is_lyndon lyn_set lyndon_census "
+              "pbw_expansion profile spitzer_sums t_sigma u_sigma",
     "magnus": "bernoulli_numbers dynkin_ode_check magnus_omega "
               "power_sum_series star_exp star_log",
     "ncalg": "Elem Perm Series Word multilinear_part series_inverse "

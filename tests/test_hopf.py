@@ -1,5 +1,6 @@
 """Dynkin operator, composition Hopf algebra, and convolution identities."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -13,12 +14,11 @@ from dendralg import (
     w_right, w_right_from_compositions,
 )
 from dendralg.hopf import (
-    COMP_SORT, GradedEndo, comp_dynkin_apply, comp_elem, comp_grading,
-    comp_mul, concat_mul, convolve, counit_unit_endo, dynkin_degree_endo,
-    eval_comp, projection_endo,
+    COMP_SORT, _dynkin_convolution, comp_dynkin_apply, comp_elem,
+    comp_grading, comp_mul, concat_mul, eval_comp,
 )
 from dendralg.magnus import power_sum_series, prelie_word_series
-from dendralg.ncalg import WORD_SORT, elem_sum
+from dendralg.ncalg import WORD_SORT, _words, elem_sum
 
 
 def x(*letters):
@@ -97,17 +97,21 @@ class TestDynkinClosedForm:
 
 
 # ---------------------------------------------------------------------------
-# graded endomorphisms and convolution
+# convolution of the graded Dynkin pieces
 # ---------------------------------------------------------------------------
+
+def convolution(comp, letters) -> Elem:
+    """(D_{i1} * ... * D_{ik})(letters) by the package's recursion."""
+    return _words(_dynkin_convolution(comp, letters))
+
 
 class TestConvolution:
     def test_two_letter_identity_by_hand(self):
         """Half the degree map plus half the square of the projection."""
-        d2 = dynkin_degree_endo(2)
-        d1d1 = convolve(dynkin_degree_endo(1), dynkin_degree_endo(1))
-        assert d2(word(2)) == x(1, 2) - x(2, 1)
-        assert d1d1(word(2)) == x(1, 2) + x(2, 1)
-        assert d2(word(2)) / 2 + d1d1(word(2)) / 2 == word(2)
+        d2, d1d1 = convolution((2,), (1, 2)), convolution((1, 1), (1, 2))
+        assert d2 == x(1, 2) - x(2, 1)
+        assert d1d1 == x(1, 2) + x(2, 1)
+        assert d2 / 2 + d1d1 / 2 == word(2)
         assert convolution_expansion(2) == word(2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -118,18 +122,10 @@ class TestConvolution:
     def test_ordered_partition_expansion(self, n):
         assert ordered_partition_expansion(n) == word(n)
 
-    def test_unit_endo_is_convolution_neutral(self):
-        f = convolve(counit_unit_endo(), dynkin_degree_endo(2))
-        assert f(word(2)) == dynkin_degree_endo(2)(word(2))
-
-    def test_projection_picks_degree(self):
-        p2 = projection_endo(2)
-        assert p2(word(2)) == word(2)
-        assert p2(x(1)).is_zero()
-
 
 def full_convolution(f, g):
     """(f * g)(w) over all 2^n position subsets, ignoring any degree."""
+    @functools.cache
     def fn(w: Word) -> Elem:
         n, parts = len(w), []
         for mask in range(2 ** n):
@@ -141,57 +137,40 @@ def full_convolution(f, g):
     return fn
 
 
-def _all_dynkin(w: Word) -> Elem:
-    return dynkin_word(w) if len(w) else Elem.zero(WORD_SORT)
+def _unit(w: Word) -> Elem:
+    """Unit after counit: the empty word to itself, every other to zero."""
+    return Elem.zero(WORD_SORT) if len(w) else Elem.unit(WORD_SORT)
 
 
-def _products():
-    """(factors, expected degree) of the convolution products under test."""
-    d, p, eta = dynkin_degree_endo, projection_endo, counit_unit_endo
-    ungraded = GradedEndo("D", _all_dynkin)
-    return [
-        ((d(2), d(1), d(3)), 6),
-        ((p(2), d(2)), 4),
-        ((d(3), p(1), eta()), 4),
-        ((eta(), d(3)), 3),
-        ((p(0), p(4)), 4),
-        ((ungraded, d(2)), None),
-        ((d(2), ungraded), None),
-        ((ungraded, ungraded), None),
-    ]
+@functools.cache
+def reference_convolution(comp: tuple):
+    """D_{i1} * ... * D_{ik} folded from the unit by full_convolution, D_i
+    being dynkin_word on words of length i and zero elsewhere."""
+    if not comp:
+        return _unit
+    i = comp[-1]
+    return full_convolution(
+        reference_convolution(comp[:-1]),
+        lambda w: dynkin_word(w) if len(w) == i else Elem.zero(WORD_SORT))
 
 
-PRODUCTS = _products()
+# every word over {1, 2} of each length up to 6, then x1...x6
+WORD_SETS = [list(words_over((1, 2), n)) for n in range(7)] \
+    + [[tuple(range(1, 7))]]
 
 
 class TestDegreeAwareConvolution:
-    """convolve visits only left subsets of the left factor's degree."""
+    """The recursion tries only the subsets of each factor's size; the
+    reference tries them all, so off-degree words must come out zero too."""
 
-    def test_an_image_outside_the_word_algebra_is_refused(self):
-        off_sort = GradedEndo("c", lambda w: comp_elem(len(w)), 1)
-        product = convolve(off_sort, dynkin_degree_endo(1))
-        with pytest.raises(SortMismatch):
-            product(Word((1, 2)))
-
-    def test_factories_record_their_degree(self):
-        assert counit_unit_endo().degree == 0
-        assert projection_endo(3).degree == 3
-        assert dynkin_degree_endo(2).degree == 2
-        assert GradedEndo("f", _all_dynkin).degree is None
-
-    @pytest.mark.parametrize("factors, degree", PRODUCTS,
-                             ids=[str(i) for i in range(len(PRODUCTS))])
-    def test_matches_full_enumeration(self, factors, degree):
-        fast, slow = factors[0], factors[0]
-        for g in factors[1:]:
-            fast, slow = convolve(fast, g), full_convolution(slow, g)
-        assert fast.degree == degree
-        for length in range(7):
-            for letters in words_over((1, 2), length):
-                w = Word(letters)
-                assert fast(w) == slow(w), (fast, letters)
-        for n in range(1, 7):
-            assert fast(Word(range(1, n + 1))) == slow(Word(range(1, n + 1)))
+    @pytest.mark.parametrize("words", WORD_SETS,
+                             ids=[str(i) for i in range(len(WORD_SETS))])
+    def test_matches_full_enumeration(self, words):
+        for comp in (c for n in range(6) for c in compositions(n)):
+            reference = reference_convolution(comp)
+            for letters in words:
+                assert convolution(comp, letters) == \
+                    reference(Word(letters)), (comp, letters)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from dendralg import (
 from dendralg.errors import SortMismatch
 from dendralg.ncalg import PERM_SORT, WORD_SORT
 from dendralg.structures import (
-    LEAF, TREE_SORT, SeqMatBackend, Tree, _sample_pairs, enumerate_trees,
+    LEAF, MAX_CARRIER_KEYS, TREE_SORT, PolyMatBackend, SeqMatBackend, Tree,
+    _sample_pairs, enumerate_trees,
 )
 from dendralg.suites import RB_THETAS, _rb_nested_sums
 
@@ -643,6 +644,17 @@ class TestSelectors:
     def test_rejects_bad_selectors(self, bad):
         with pytest.raises(ValueError):
             from_selector(bad)
+
+    def test_carriers_are_capped_per_degree(self):
+        """N k^2 keys for seqmat and k^2 for polymat, refused past the cap
+        before any key is listed."""
+        assert MAX_CARRIER_KEYS == 32 * 32 * 4 == 64 * 64
+        SeqMatBackend(1, 32, 4)
+        PolyMatBackend(64)
+        with pytest.raises(ValueError, match="5120 keys"):
+            SeqMatBackend(1, 32, 5)
+        with pytest.raises(ValueError, match="4225 keys"):
+            PolyMatBackend(65)
 
 
 class TestGenerators:
