@@ -24,11 +24,20 @@ and lost (ties count for neither), the relative move of the median, the bound
 from BENCHMARK.json and the parent's quartile distance.  The claimed metric
 is met when the change wins at least nine in ten pairs and its median is
 better than the parent's by more than the parent's quartile distance.
+
+Two parts follow.  One `perfbench/run.py --workload W --trace 1` run per
+side, at the first seed, keeps the per-layer metrics of W, the claimed
+workload (the first one when nothing is claimed).  Then the recorder
+compares what the two sides print: `verify --format json` at seeds 0 and 7,
+its elapsed_ms lines removed, and `expand` for every op on mr, free and
+rb-polymat:k=2 at n = 0..6; it keeps a digest of each output per side and
+lists the outputs that differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -80,8 +89,9 @@ def child_env(checkout: Path) -> dict:
     return env
 
 
-def parse_run(stdout: str) -> dict:
-    """One side of a pair, from the output of perfbench/run.py --trace 0.
+def parse_run(stdout: str, digits: int = 4) -> dict:
+    """One side of a pair, from the output of perfbench/run.py, the metrics
+    rounded to digits.
 
     The last line is the result object; the line starting "record " carries
     the run record, whose source digest identifies the code measured.
@@ -93,21 +103,22 @@ def parse_run(stdout: str) -> dict:
     side = {"attempted": result["attempted"], "failed": result["failed"],
             "correct": result["correct"],
             "source_sha256": record.get("source_sha256")}
-    side.update({name: round(m["value"], 4)
+    side.update({name: round(m["value"], digits)
                  for name, m in result["metrics"].items()})
     return side
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int,
-                  seconds: float) -> dict:
+                  seconds: float, trace: int = 0) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--seconds", str(seconds), "--trace",
+            str(trace)]
     proc = subprocess.run(argv, cwd=checkout, env=child_env(checkout),
                           capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"record: {' '.join(argv[1:])} failed in {checkout} "
                          f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}")
-    return parse_run(proc.stdout)
+    return parse_run(proc.stdout, 6 if trace else 4)
 
 
 def spread(values: list) -> dict:
@@ -216,6 +227,58 @@ def tier1(checkout: Path) -> dict:
             "passed": int(found[-1]) if found else 0}
 
 
+OUTPUTS_SCRIPT = r"""
+import contextlib, hashlib, io, json, re
+from dendralg import cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+outputs = {}
+for seed in ("0", "7"):
+    code, text = run(["verify", "--format", "json", "--seed", seed])
+    outputs[f"verify --seed {seed}"] = (
+        code, re.sub(r'\n *"elapsed_ms": \d+,', "", text))
+for structure in ("mr", "free", "rb-polymat:k=2"):
+    for op in cli.EXPAND_OPS:
+        for n in range(7):
+            argv = ["expand", "--structure", structure, "--op", op,
+                    "--n", str(n)]
+            outputs[" ".join(argv)] = run(argv)
+print(json.dumps({name: [code, hashlib.sha256(text.encode()).hexdigest()]
+                  for name, (code, text) in outputs.items()}))
+"""
+
+
+def outputs(checkouts: dict) -> dict:
+    """Each side's digest of every compared output, and the outputs (exit
+    code or text) that differ."""
+    sides = {}
+    for side, checkout in checkouts.items():
+        proc = subprocess.run([sys.executable, "-c", OUTPUTS_SCRIPT],
+                              cwd=checkout, env=child_env(checkout),
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"record: outputs failed in {checkout}:\n"
+                             f"{proc.stderr[-2000:]}")
+        sides[side] = json.loads(proc.stdout)
+    parent, change = (sides[side] for side in SIDES)
+    differing = sorted(name for name in parent.keys() | change.keys()
+                       if parent.get(name) != change.get(name))
+
+    def digest(table):
+        return hashlib.sha256(json.dumps(table, sort_keys=True)
+                              .encode()).hexdigest()[:16]
+
+    return {"compared": len(parent), "differing": differing,
+            "identical": not differing,
+            "sha256": {side: digest(table) for side, table in sides.items()}}
+
+
 def rounds(measure, checkouts: dict, count: int) -> dict:
     """count runs per side, alternating which side goes first."""
     out = {side: [] for side in SIDES}
@@ -256,7 +319,8 @@ def main(argv=None) -> int:
         if next(path.rglob("*.pyc"), None):
             parser.error(f"--{side} {path}: holds .pyc files; use a fresh copy")
     workloads, seconds, metrics = contract()
-    if args.claim and args.claim.partition(":")[2] not in metrics:
+    claimed, _, metric = (args.claim or "").partition(":")
+    if args.claim and (claimed not in workloads or metric not in metrics):
         parser.error(f"--claim {args.claim}: not workload:metric")
     out = ROOT / f"BENCH_{args.pr}.json"
     record = {
@@ -298,6 +362,12 @@ def main(argv=None) -> int:
                               for side in SIDES), flush=True)
     record["default_verify_seed_0"] = rounds(default_verify, checkouts, ROUNDS)
     record["tier1"] = rounds(tier1, checkouts, ROUNDS)
+    traced = claimed or workloads[0]
+    record["trace"] = {"workload": traced, "seed": args.seeds[0]}
+    for side in SIDES:
+        record["trace"][side] = run_benchmark(
+            checkouts[side], traced, args.seeds[0], seconds, trace=1)
+    record["outputs"] = outputs(checkouts)
     record["machine"]["loadavg_end"] = os.getloadavg()
     record["complete"] = True
     write()

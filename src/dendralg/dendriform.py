@@ -17,9 +17,7 @@ from __future__ import annotations
 import functools
 
 from .errors import AxiomCheckFailure, EmptyArgumentList, SortMismatch, UnitMisuse
-from .ncalg import (
-    Elem, _accumulate, _accumulate_groups, _group_terms, _normalized,
-)
+from .ncalg import Elem, _accumulate, _accumulate_groups, _group_terms
 
 __all__ = [
     "DendriformStructure", "OppositeStructure",
@@ -47,7 +45,10 @@ class DendriformStructure:
 
     Basis product tables: each instance keeps one table for < and one for >,
     mapping a key pair (k1, k2) to basis_left(k1, k2) or basis_right(k1, k2)
-    with its terms grouped by coefficient, ((coef, (key, ...)), ...).  The
+    as an entry of `ncalg._group_terms`: a den and the integer numerators
+    over it grouped by value, (den, ((numerator, (key, ...)), ...)).  The
+    den is 1 for every integral product, so only operator carriers with a
+    fractional R or weight hold other dens.  The
     first use of a pair calls the primitive once and stores the result;
     left, right and star read only the tables.  The primitives must
     therefore be pure functions of the two keys, and they keep no state of
@@ -107,23 +108,31 @@ class DendriformStructure:
         return ((self._left_table, self.basis_left),
                 (self._right_table, self.basis_right))
 
-    def _half_into(self, data: dict, halves, xs, ys) -> dict:
+    def _half_into(self, data: dict, halves, xs, ys, den: int = 1) -> int:
         """Accumulate the half-products in halves of xs by ys into data.
 
         halves holds pairs from `_halves`; a key pair missing from a table
-        is filled from its primitive.  xs and ys are (key, exact scalar)
-        pairs of non-unit keys; ys is read once per term of xs.
+        is filled from its primitive.  xs and ys are (key, int numerator)
+        pairs of non-unit keys; ys is read once per term of xs.  data holds
+        numerators over den, and the products' numerators are added over
+        den times each table den they read: returns the den of the sum,
+        which `ncalg._accumulate_groups` raises to the lcm as it goes.
         """
         for k1, c1 in xs:
             for k2, c2 in ys:
                 c = c1 * c2
                 for table, basis_fn in halves:
-                    groups = table.get((k1, k2))
-                    if groups is None:
-                        groups = _group_terms(basis_fn(k1, k2)._terms)
-                        table[(k1, k2)] = groups
-                    _accumulate_groups(data, groups, c)
-        return data
+                    entry = table.get((k1, k2))
+                    if entry is None:
+                        entry = table[(k1, k2)] = _group_terms(basis_fn(k1, k2))
+                    den = _accumulate_groups(data, entry, c, den)
+        return den
+
+    def _product(self, halves, x: Elem, y: Elem) -> Elem:
+        """The half-products in halves of the unit-free x by y, unchecked."""
+        data: dict = {}
+        den = self._half_into(data, halves, x._terms.items(), y._terms.items())
+        return Elem._trusted(self.sort, data, x._den * y._den * den)
 
     def _half(self, side: int, x: Elem, y: Elem) -> Elem:
         self._check_operand(x)
@@ -131,9 +140,7 @@ class DendriformStructure:
         if x.unit_coeff or y.unit_coeff:
             raise UnitMisuse(
                 f"{self.name}: {'<>'[side]} is undefined on unit components")
-        data = self._half_into({}, self._halves()[side:side + 1],
-                               x._terms.items(), y._terms.items())
-        return Elem._trusted(self.sort, data)
+        return self._product(self._halves()[side:side + 1], x, y)
 
     def left(self, x: Elem, y: Elem) -> Elem:
         """The half-product a < b; operands must be unit-free."""
@@ -147,8 +154,10 @@ class DendriformStructure:
         """The associative product a * b = a < b + a > b, extended unitally."""
         self._check_operand(x)
         self._check_operand(y)
+        # numerators over x's den times y's den: the unit terms and the
+        # products of the unit-free parts a and b
         unit = self.sort.unit_key
-        cx, cy = x.unit_coeff, y.unit_coeff
+        cx, cy = x._terms.get(unit, 0), y._terms.get(unit, 0)
         a = [(k, c) for k, c in x._terms.items() if k != unit]
         b = [(k, c) for k, c in y._terms.items() if k != unit]
         data: dict = {}
@@ -158,8 +167,8 @@ class DendriformStructure:
             _accumulate(data, b, cx)
         if cy:
             _accumulate(data, a, cy)
-        self._half_into(data, self._halves(), a, b)
-        return Elem._trusted(self.sort, data)
+        den = self._half_into(data, self._halves(), a, b)
+        return Elem._trusted(self.sort, data, x._den * y._den * den)
 
     # -- validation ---------------------------------------------------------
 
@@ -177,11 +186,13 @@ class DendriformStructure:
         inadmissible ones left out, and none is ever visited.
 
         The pair products a<b, a>b and a*b are shared within one call: each
-        key pair's three are computed once, as normalized term dicts, so a
-        triple costs only its six outer products.  Each axiom accumulates
-        its left side minus its right side into one dict, which holds only
-        zeros when the axiom holds.  Elements are built only to render a
-        counterexample.
+        key pair's three are computed once, so a triple costs only its six
+        outer products.  Each side of an axiom multiplies a pair product by
+        a basis key, and the key takes as its numerator the den of the other
+        side's pair product, negated on one side: so each axiom accumulates
+        the difference of its sides, both multiplied by the two dens, into
+        one dict, which holds only zeros when the axiom holds.  Elements are
+        built only to render a counterexample.
         """
         keys = list(self.basis_keys(max_degree))
         degs = {k: self.degree(k) for k in keys}
@@ -193,37 +204,46 @@ class DendriformStructure:
                    for kc in within.get(max_degree - degs[ka] - degs[kb], ()))
         halves = self._halves()
         left, right = halves[:1], halves[1:]
-        half = self._half_into
+        half, product = self._half_into, self._product
+
+        def elem(x) -> Elem:
+            return x if isinstance(x, Elem) else Elem._trusted(self.sort, {x: 1})
 
         @functools.cache
         def pair(k1, k2):
-            """k1 < k2, k1 > k2 and k1 * k2, as normalized term dicts."""
-            one = (((k1, 1),), ((k2, 1),))
-            return tuple(_normalized(half({}, h, *one))
+            """k1 < k2, k1 > k2 and k1 * k2."""
+            return tuple(product(h, elem(k1), elem(k2))
                          for h in (left, right, halves))
+
+        def differ(lhs, rhs) -> bool:
+            """Whether two sides differ: each is (halves, x, y), one side
+            with x a pair product and y a basis key, the other the reverse."""
+            if not isinstance(lhs[1], Elem):
+                lhs, rhs = rhs, lhs
+            (h1, p1, k1), (h2, k2, p2) = lhs, rhs
+            data: dict = {}
+            den = half(data, h1, p1._terms.items(), ((k1, p2._den),))
+            half(data, h2, ((k2, -p1._den),), p2._terms.items(), den)
+            return any(data.values())
+
+        def render(side) -> str:
+            h, x, y = side
+            return product(h, elem(x), elem(y)).render(max_terms=10)
 
         checked = 0
         for ka, kb, kc in triples:
             ab_left, ab_right, ab = pair(ka, kb)
             bc_left, bc_right, bc = pair(kb, kc)
-            a, c = ((ka, 1),), ((kc, 1),)
-            # each side as (halves, xs, ys); the right side's one-key
-            # operand is negated, so both sides accumulate to lhs - rhs
+            # each side as (halves, x, y), x or y a basis key
             axioms = (
-                ("(a<b)<c = a<(b*c)", (left, ab_left.items(), c),
-                 (left, ((ka, -1),), bc.items())),
-                ("(a>b)<c = a>(b<c)", (left, ab_right.items(), c),
-                 (right, ((ka, -1),), bc_left.items())),
-                ("a>(b>c) = (a*b)>c", (right, a, bc_right.items()),
-                 (right, ab.items(), ((kc, -1),))),
+                ("(a<b)<c = a<(b*c)", (left, ab_left, kc), (left, ka, bc)),
+                ("(a>b)<c = a>(b<c)", (left, ab_right, kc), (right, ka, bc_left)),
+                ("a>(b>c) = (a*b)>c", (right, ka, bc_right), (right, ab, kc)),
             )
-            for label, lhs, minus_rhs in axioms:
-                if any(half(half({}, *lhs), *minus_rhs).values()):
-                    rhs = {k: -v for k, v in half({}, *minus_rhs).items()}
-                    raise AxiomCheckFailure(
-                        self.name, label, (ka, kb, kc),
-                        *(Elem._trusted(self.sort, side).render(max_terms=10)
-                          for side in (half({}, *lhs), rhs)))
+            for label, lhs, rhs in axioms:
+                if differ(lhs, rhs):
+                    raise AxiomCheckFailure(self.name, label, (ka, kb, kc),
+                                            render(lhs), render(rhs))
             checked += 1
         return checked
 
@@ -238,7 +258,7 @@ class OppositeStructure(DendriformStructure):
     the associative product reverses and changes sign.  The unit conventions
     are imposed afresh on the adjoined unit, not derived from the swap.
     A view of its base: it owns no tables, and its products read and fill
-    the base's at the swapped key pair, the coefficient negated.
+    the base's at the swapped key pair, the numerators negated.
     """
 
     def __init__(self, base: DendriformStructure):
@@ -255,8 +275,9 @@ class OppositeStructure(DendriformStructure):
     def _halves(self) -> tuple:
         return self.base._halves()[::-1]  # <' reads > and >' reads <
 
-    def _half_into(self, data: dict, halves, xs, ys) -> dict:
-        return self.base._half_into(data, halves, [(k, -c) for k, c in ys], xs)
+    def _half_into(self, data: dict, halves, xs, ys, den: int = 1) -> int:
+        return self.base._half_into(data, halves, [(k, -c) for k, c in ys], xs,
+                                    den)
 
     def degree(self, key):
         return self.base.degree(key)

@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from .dendriform import DendriformStructure, ell, r, w_right
 from .errors import EmptyWord, NormalizationError, SortMismatch
 from .ncalg import (
-    BasisSort, Elem, Series, Word, WORD_SORT, _accumulate, _words,
+    BasisSort, Elem, Series, Word, WORD_SORT, _accumulate, _bilinear, _words,
     linear_combination,
 )
 
@@ -55,9 +56,7 @@ def concat_mul(x: Elem, y: Elem) -> Elem:
     """Concatenation product on word elements (the empty word is its unit)."""
     if x.sort != WORD_SORT or y.sort != WORD_SORT:
         raise SortMismatch("concat_mul expects word elements")
-    return Elem._trusted(WORD_SORT, _accumulate({}, [
-        (w1 + w2, c1 * c2)
-        for w1, c1 in x._terms.items() for w2, c2 in y._terms.items()]))
+    return _bilinear(WORD_SORT, x, y, lambda w1, w2: ((w1 + w2, 1),))
 
 
 def _bracket_terms(letters: tuple) -> list:
@@ -138,12 +137,13 @@ def ordered_partition_expansion(n: int) -> Elem:
     D(J) brackets the increasing word on J; block sizes follow the
     composition (i1..ik).  The sum collapses to the single word x1...xn.
     """
+    # over n!, which every composition denominator divides
     data: dict = {}
     for comp in compositions(n):
-        denom = Fraction(1, comp_denominator(comp))
+        weight = math.factorial(n) // comp_denominator(comp)
         for blocks in _ordered_partitions(tuple(range(1, n + 1)), comp):
-            _accumulate(data, _bracket_product(blocks), denom)
-    return _words(data)
+            _accumulate(data, _bracket_product(blocks), weight)
+    return _words(data, math.factorial(n))
 
 
 def _ordered_partitions(universe: tuple, sizes: tuple):
@@ -214,9 +214,7 @@ def comp_elem(*parts) -> Elem:
 
 def comp_mul(x: Elem, y: Elem) -> Elem:
     """Concatenation of compositions (the free associative product)."""
-    return Elem._trusted(COMP_SORT, _accumulate({}, [
-        (c1 + c2, a * b)
-        for c1, a in x._terms.items() for c2, b in y._terms.items()]))
+    return _bilinear(COMP_SORT, x, y, lambda c1, c2: ((c1 + c2, 1),))
 
 
 def _comp_elem(x) -> Elem:

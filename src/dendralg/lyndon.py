@@ -30,10 +30,13 @@ import itertools
 import math
 from typing import NamedTuple
 
+from . import _lazy
 from .dendriform import DendriformStructure, ell, opposite, prelie_left, r
 from .errors import EmptyArgumentList, EmptyWord
-from .hopf import _bracket_product, comp_denominator
 from .ncalg import Elem, Perm, _accumulate, _words, elem_sum
+
+# executed on first use, so the Spitzer sums never compile it
+hopf = _lazy("hopf")
 
 __all__ = [
     "Profile", "profile", "omega_conjugate", "t_sigma", "u_sigma",
@@ -323,7 +326,7 @@ def pbw_expansion(beta) -> Elem:
         beta = Perm(beta)
     data: dict = {}
     for sigma in lyn_set(beta):
-        _accumulate(data, _bracket_product(
+        _accumulate(data, hopf._bracket_product(
             tuple(beta[v - 1] for v in vals)
             for vals in profile(sigma).e_values))
     return _words(data)
@@ -352,7 +355,7 @@ def lyndon_census(n: int) -> dict:
 def census_formula(comp: tuple) -> int:
     """Predicted census count: n! over i1(i1+i2)...(i1+...+ik)."""
     n = sum(comp)
-    denom = comp_denominator(comp)
+    denom = hopf.comp_denominator(comp)
     count, rem = divmod(math.factorial(n), denom)
     if rem:
         raise ValueError(f"composition denominator does not divide {n}!: {comp}")

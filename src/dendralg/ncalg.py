@@ -1,30 +1,44 @@
 """Exact sparse linear combinations over ordered combinatorial bases.
 
-Scalars are exact rationals with one representation each: a plain `int`
-when the value is integral, otherwise a `fractions.Fraction` (lowest terms,
-positive denominator above 1).  An `Elem` is a finite linear combination of
-basis keys with a deterministic term order; a `Series` is a truncated power
-series in a formal parameter t whose coefficients are elements.  Words and
-permutations, the two basis key types shared by several structures, live
-here as well, with `_words` and `_perms`, which build their elements from
-tuple -> coefficient dicts.
+Scalars are exact rationals with one public representation each: a plain
+`int` when the value is integral, otherwise a `fractions.Fraction` (lowest
+terms, positive denominator above 1).  An `Elem` is a finite linear
+combination of basis keys with a deterministic term order; a `Series` is a
+truncated power series in a formal parameter t whose coefficients are
+elements.  Words and permutations, the two basis key types shared by several
+structures, live here as well, with `_words` and `_perms`, which build their
+elements from tuple -> integer dicts.
+
+Inside, an element is integer numerators over one denominator, as in FLINT's
+`fmpq_poly`: `_terms` maps each key to a nonzero int, `_den` is a positive
+int, and gcd(_den, every numerator) = 1, so two elements are equal exactly
+when their sorts, dens and dicts are.  `Fraction` appears only at the
+boundary: `as_scalar` and `Elem(sort, terms)` take scalars in, and `coeff`,
+`unit_coeff`, `items` and `render` give them back in the public
+representation.  All arithmetic in between is on ints.
 
 Every sum of elements inside the package goes through one accumulation path:
-`_accumulate(data, terms, c)` adds c times some terms into a plain dict, and
-`Elem._trusted(sort, data)` drops the zero coefficients of that dict in place
-and wraps it; in the same pass it turns any integral `Fraction` (such as
-1/2 + 1/2) into its `int`, and it looks at the keys no further.  A sum of k
-terms in total therefore costs O(k), however many summands it has.  The basis
-product tables of the dendriform structures store their terms grouped by
-coefficient (`_group_terms`), and `_accumulate_groups` is the same add for
-that form: one multiply per group rather than per term.  Validation
-(that every key belongs to the sort, that every coefficient is an exact
-scalar) happens only in the public constructor `Elem(sort, terms)`, where
-outside data comes in; it checks each term and then adds and normalizes
-through the same two steps.  Keys follow the same rule: `Word(...)` and
-`Perm(...)` check their letters, while `Word._trusted` and `Perm._trusted`,
-each a bare `tuple.__new__`, take data that the calling code builds valid
-by construction.
+`_accumulate(data, terms, c)` adds the int c times some integer numerators
+into a plain dict, and `Elem._trusted(sort, data, den)` wraps that dict as
+data / den: a C-level `0 in data.values()` test decides whether the zeros
+must be dropped, and only a den above 1 costs a gcd.  It looks at the keys
+no further.  A sum of k terms in total therefore costs O(k), however many
+summands it has.  Summands over different denominators share a running
+one: `_accumulate_elem` adds a scaled element and, when the element's den
+does not divide the running den, first moves the sum to their lcm
+(`_common_den`), so it returns the den of the sum.
+The basis product tables of the dendriform structures store each entry as
+(den, groups), its numerators grouped by value (`_group_terms`), and
+`_accumulate_groups` is the same add for that form: one multiply per group
+rather than per term, and an entry's den folded into a running denominator
+of the sum; an entry with den 1, the case of every integral table, is added
+as it stands.  Validation (that every key belongs to the sort, that every
+coefficient is an exact scalar) happens only in the public constructor
+`Elem(sort, terms)`, where outside data comes in; it checks each term and
+then adds and normalizes through the same two steps.  Keys follow the same
+rule: `Word(...)` and `Perm(...)` check their letters, while `Word._trusted`
+and `Perm._trusted`, each a bare `tuple.__new__`, take data that the calling
+code builds valid by construction.
 
 Every basis key of every sort is a tuple: a `Word` or a `Perm` (and the
 planar binary trees of `structures`) is a `tuple` subclass with no slots of
@@ -37,6 +51,7 @@ which `Elem.support` reads; nothing compares keys with < or >.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -204,15 +219,15 @@ def _bad_key(sort_name, key):
     raise SortMismatch(f"key {key!r} does not belong to basis sort {sort_name!r}")
 
 
-def _accumulate(data: dict, terms, c=1) -> dict:
+def _accumulate(data: dict, terms, c: int = 1) -> dict:
     """Add c * terms into data, in place, and return data.
 
-    The one accumulation path of the package.  data maps keys to exact
-    scalars and may be left holding zeros and integral Fractions, which
-    `Elem._trusted` clears; terms is a key -> coefficient mapping or an
-    iterable of (key, coefficient) pairs.  Nothing is checked: the caller
-    vouches that the keys belong to the sort of data and that the
-    coefficients and c are ints or Fractions.
+    The one accumulation path of the package.  data maps keys to integer
+    numerators over one denominator and may be left holding zeros, which
+    `Elem._trusted` clears; terms is a key -> numerator mapping or an
+    iterable of (key, numerator) pairs over the same denominator.  Nothing
+    is checked: the caller vouches that the keys belong to the sort of data
+    and that the numerators and c are ints.
     """
     items = terms.items() if isinstance(terms, dict) else terms
     get = data.get
@@ -232,83 +247,171 @@ def _accumulate(data: dict, terms, c=1) -> dict:
     return data
 
 
-def _normalized(data: dict) -> dict:
-    """Drop the zeros of a dict filled by `_accumulate` and turn each
-    integral Fraction into its int, in place; returns data."""
-    for key, c in [(key, c) for key, c in data.items()
-                   if not c or type(c) is Fraction and c.denominator == 1]:
-        if c:
-            data[key] = c.numerator
-        else:
-            del data[key]
-    return data
+def _normal(data: dict, den: int) -> tuple:
+    """(data, den) in the stored form of an element: no zero numerator and
+    no common factor of den and the numerators.
+
+    data is returned as it is unless it holds a zero, which a C-level
+    `0 in data.values()` test finds, or den is above 1 and shares a factor
+    with every numerator; then it is rebuilt, never changed in place.
+    """
+    if 0 in data.values():
+        data = {k: c for k, c in data.items() if c}
+    if den != 1:
+        g = math.gcd(den, *data.values())
+        if g != 1:
+            den //= g
+            data = {k: c // g for k, c in data.items()}
+    return data, den
 
 
-def _group_terms(terms: dict) -> tuple:
-    """The terms of a key -> coefficient dict grouped by coefficient.
+def _common_den(data: dict, den: int, t: int) -> int:
+    """Move data, numerators over den, to a denominator that t divides, in
+    place, and return it: den itself when t divides it, otherwise
+    lcm(den, t), every value of data multiplied up once."""
+    if den % t:
+        grown = math.lcm(den, t)
+        factor = grown // den
+        for key in data:
+            data[key] *= factor
+        den = grown
+    return den
 
-    Returns ((coef, (key, ...)), ...), the groups in the order their
-    coefficients first occur; the form `_accumulate_groups` adds.
+
+def _accumulate_elem(data: dict, e: "Elem", c: Scalar, den: int = 1) -> int:
+    """Add the exact scalar c times e into data, whose values are numerators
+    over den, and return the denominator of the sum (see `_common_den`)."""
+    t = e._den * c.denominator
+    p = c.numerator
+    if t != den:
+        den = _common_den(data, den, t)
+        p *= den // t
+    _accumulate(data, e._terms, p)
+    return den
+
+
+def _group_terms(e: "Elem") -> tuple:
+    """A product-table entry: e as (den, groups), its numerators grouped by
+    value.
+
+    groups is ((numerator, (key, ...)), ...), in the order the numerators
+    first occur; the form `_accumulate_groups` adds.
     """
     groups: dict = {}
-    for key, c in terms.items():
+    for key, c in e._terms.items():
         groups.setdefault(c, []).append(key)
-    return tuple((c, tuple(keys)) for c, keys in groups.items())
+    return e._den, tuple((c, tuple(keys)) for c, keys in groups.items())
 
 
-def _accumulate_groups(data: dict, groups, c: Scalar) -> dict:
-    """Add c times the grouped terms ((coef, (key, ...)), ...) into data.
+def _accumulate_groups(data: dict, entry: tuple, c: int, den: int = 1) -> int:
+    """Add c times a table entry (t, groups) into data, whose values are
+    numerators over den, and return the denominator of the sum.
 
-    `_accumulate` for terms stored by `_group_terms`: one multiply per
-    group, none when coef is 1, and one add per key.  c must be an int or a
-    Fraction, and the same caller guarantees as for `_accumulate` hold.
+    `_accumulate` for entries stored by `_group_terms`: one multiply per
+    group, none when its numerator is 1, and one add per key.  An entry
+    with t = den, such as every entry of an integral table added over
+    den 1, is added as it stands.  Otherwise the sum first moves to a den
+    that t divides (`_common_den`), and c takes the factor den / t.  c is an
+    int, and the same caller guarantees as for `_accumulate` hold.
     """
+    t, groups = entry
+    if t != den:
+        den = _common_den(data, den, t)
+        c *= den // t
     get = data.get
     for coef, keys in groups:
         v = c if coef == 1 else c * coef
         for key in keys:
             old = get(key)
             data[key] = v if old is None else old + v
-    return data
+    return den
+
+
+def _bilinear(sort: "BasisSort", x: "Elem", y: "Elem", fn) -> "Elem":
+    """The bilinear extension to x and y of fn(k1, k2), an iterable of
+    (key, int) pairs on keys of sort."""
+    ys = y._terms.items()
+    return Elem._trusted(sort, _accumulate({}, [
+        (key, c1 * c2 * v) for k1, c1 in x._terms.items() for k2, c2 in ys
+        for key, v in fn(k1, k2)]), x._den * y._den)
+
+
+def _relabel(x: "Elem", fn) -> "Elem":
+    """x with each key k replaced by fn(k), a key of its sort; fn must be
+    one-to-one on the keys of x."""
+    return Elem._trusted(x.sort, {fn(k): c for k, c in x._terms.items()},
+                         x._den)
+
+
+def _linear(sort: "BasisSort", x: "Elem", fn) -> "Elem":
+    """The linear extension to x of fn(k), an iterable of (key, exact
+    scalar) pairs on keys of sort."""
+    data: dict = {}
+    den = 1
+    get = data.get
+    for k, c in x._terms.items():
+        for key, v in fn(k):
+            t = v.denominator
+            if t != den:
+                den = _common_den(data, den, t)
+            v = c * v.numerator * (den // t)
+            old = get(key)
+            data[key] = v if old is None else old + v
+    return Elem._trusted(sort, data, x._den * den)
 
 
 class Elem:
     """A finite linear combination of basis keys with rational coefficients.
 
-    Canonical form: zero coefficients are never stored, and a stored
-    coefficient is an int when it is integral and otherwise a Fraction, so
-    equality is dict equality.  Addition, subtraction, negation and scalar
+    Stored as integer numerators over one denominator: `_terms` maps each
+    key to a nonzero int and `_den` is a positive int coprime to all of
+    them, so equality is equality of the sort, the den and the dict.  The
+    public scalars, read through `coeff`, `unit_coeff` and `items`, are
+    those numerators over den in lowest terms: an int when integral,
+    otherwise a Fraction.  Addition, subtraction, negation and scalar
     multiples are supported directly; products belong to the structures
     that own them.
     """
 
-    __slots__ = ("sort", "_terms")
+    __slots__ = ("sort", "_terms", "_den")
 
     def __init__(self, sort: BasisSort, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
         checked = []
+        den = 1
         for key, c in items:
             c = as_scalar(c)
             sort.check(key)
             checked.append((key, c))
-        object.__setattr__(self, "sort", sort)
-        object.__setattr__(self, "_terms", _normalized(_accumulate({}, checked)))
+            den = math.lcm(den, c.denominator)
+        if den != 1:
+            checked = [(key, c.numerator * (den // c.denominator))
+                       for key, c in checked]
+        data, den = _normal(_accumulate({}, checked), den)
+        _set_sort(self, sort)
+        _set_terms(self, data)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Elem is immutable; build a new one")
 
     @classmethod
-    def _trusted(cls, sort: BasisSort, data: dict) -> "Elem":
-        """Wrap a dict filled by `_accumulate`, normalizing it in place.
+    def _trusted(cls, sort: BasisSort, data: dict, den: int = 1) -> "Elem":
+        """Wrap data / den, data a dict of int numerators filled by
+        `_accumulate`, and den a positive int.
 
-        `_normalized` drops the zeros and turns each integral Fraction into
-        its int.  The dict is taken over, not copied, and its keys are not
-        validated again; the public constructor checks each term and then
-        takes the same two steps.
+        The dict is taken over, not copied, unless `_normal` must rebuild
+        it, to drop its zeros or, only when den is above 1, to divide out a
+        common factor of den and the numerators.  Its keys are not validated
+        again; the public constructor checks each term and then takes the
+        same steps.
         """
+        if den != 1 or 0 in data.values():
+            data, den = _normal(data, den)
         out = cls.__new__(cls)
-        object.__setattr__(out, "sort", sort)
-        object.__setattr__(out, "_terms", _normalized(data))
+        _set_sort(out, sort)
+        _set_terms(out, data)
+        _set_den(out, den)
         return out
 
     @classmethod
@@ -323,14 +426,20 @@ class Elem:
     def unit(cls, sort: BasisSort) -> "Elem":
         return cls(sort, [(sort.unit_key, 1)])
 
+    def _scalar(self, numerator: int) -> Scalar:
+        """numerator / den as a public scalar."""
+        if self._den == 1 or not numerator:
+            return numerator
+        return as_scalar(Fraction(numerator, self._den))
+
     def coeff(self, key) -> Scalar:
         """The coefficient of key; a key of another sort raises SortMismatch."""
         self.sort.check(key)
-        return self._terms.get(key, 0)
+        return self._scalar(self._terms.get(key, 0))
 
     @property
     def unit_coeff(self) -> Scalar:
-        return self._terms.get(self.sort.unit_key, 0)
+        return self._scalar(self._terms.get(self.sort.unit_key, 0))
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -346,7 +455,7 @@ class Elem:
 
     def items(self):
         """Terms in the sort's deterministic order."""
-        return [(k, self._terms[k]) for k in self.support()]
+        return [(k, self._scalar(self._terms[k])) for k in self.support()]
 
     def _require_same_sort(self, other: "Elem"):
         if not isinstance(other, Elem):
@@ -356,18 +465,22 @@ class Elem:
 
     def __add__(self, other: "Elem") -> "Elem":
         self._require_same_sort(other)
-        big, small = self._terms, other._terms
-        if len(big) < len(small):
+        big, small = self, other
+        if len(big._terms) < len(small._terms):
             big, small = small, big
-        return Elem._trusted(self.sort, _accumulate(dict(big), small))
+        data = dict(big._terms)
+        den = _accumulate_elem(data, small, 1, big._den)
+        return Elem._trusted(self.sort, data, den)
 
     def __sub__(self, other: "Elem") -> "Elem":
         self._require_same_sort(other)
         data = dict(self._terms)
-        return Elem._trusted(self.sort, _accumulate(data, other._terms, -1))
+        den = _accumulate_elem(data, other, -1, self._den)
+        return Elem._trusted(self.sort, data, den)
 
     def __neg__(self) -> "Elem":
-        return Elem._trusted(self.sort, {k: -c for k, c in self._terms.items()})
+        return Elem._trusted(self.sort, {k: -c for k, c in self._terms.items()},
+                             self._den)
 
     def scale(self, c) -> "Elem":
         c = as_scalar(c)
@@ -375,7 +488,10 @@ class Elem:
             return Elem(self.sort)
         if c == 1:
             return self
-        return Elem._trusted(self.sort, {k: c * v for k, v in self._terms.items()})
+        p = c.numerator
+        data = (self._terms if p == 1
+                else {k: p * v for k, v in self._terms.items()})
+        return Elem._trusted(self.sort, data, self._den * c.denominator)
 
     def __rmul__(self, c) -> "Elem":
         return self.scale(c)
@@ -385,16 +501,17 @@ class Elem:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Elem) and self.sort == other.sort
-                and self._terms == other._terms)
+                and self._den == other._den and self._terms == other._terms)
 
     def map_keys(self, fn) -> "Elem":
         """Linear extension of a key-to-Elem map over the same sort."""
         data: dict = {}
+        den = 1
         for key, c in self._terms.items():
             image = fn(key)
             self._require_same_sort(image)
-            _accumulate(data, image._terms, c)
-        return Elem._trusted(self.sort, data)
+            den = _accumulate_elem(data, image, c, den)
+        return Elem._trusted(self.sort, data, self._den * den)
 
     def render(self, max_terms: int | None = None) -> str:
         """Human form: terms joined by " + "/" - ", coefficient prefix p/q*
@@ -425,28 +542,34 @@ class Elem:
         return f"<Elem {self.sort.name}: {self.render(max_terms=8)}>"
 
 
+# the slots' own setters, which skip the refusing Elem.__setattr__
+_set_sort, _set_terms, _set_den = (vars(Elem)[name].__set__
+                                   for name in Elem.__slots__)
+
+
 def linear_combination(sort: BasisSort, pairs) -> Elem:
     """sum(c * e) over (e, c) pairs of elements of `sort` and exact scalars."""
     data: dict = {}
+    den = 1
     for e, c in pairs:
         if not isinstance(e, Elem) or e.sort != sort:
             raise SortMismatch(f"expected an element over {sort.name!r}, got {e!r}")
-        _accumulate(data, e._terms, as_scalar(c))
-    return Elem._trusted(sort, data)
+        den = _accumulate_elem(data, e, as_scalar(c), den)
+    return Elem._trusted(sort, data, den)
 
 
 def elem_sum(sort: BasisSort, elems: Iterable[Elem]) -> Elem:
     return linear_combination(sort, ((e, 1) for e in elems))
 
 
-def _words(counts: dict) -> Elem:
-    """The word element of a letter tuple -> coefficient dict."""
+def _words(counts: dict, den: int = 1) -> Elem:
+    """The word element of a letter tuple -> numerator dict, over den."""
     return Elem._trusted(WORD_SORT,
-                         {Word._trusted(t): c for t, c in counts.items()})
+                         {Word._trusted(t): c for t, c in counts.items()}, den)
 
 
 def _perms(counts: dict) -> Elem:
-    """The permutation element of a one-line tuple -> coefficient dict."""
+    """The permutation element of a one-line tuple -> integer dict."""
     return Elem._trusted(PERM_SORT,
                          {Perm._trusted(t): c for t, c in counts.items()})
 
@@ -456,7 +579,7 @@ def multilinear_part(e: Elem) -> Elem:
     if e.sort != WORD_SORT:
         raise SortMismatch("multilinear_part expects a word element")
     kept = {w: c for w, c in e._terms.items() if len(set(w)) == len(w)}
-    return Elem._trusted(WORD_SORT, kept)
+    return Elem._trusted(WORD_SORT, kept, e._den)
 
 
 class Series:
@@ -547,11 +670,12 @@ def series_mul(f: Series, g: Series, mul: Callable[[Elem, Elem], Elem]) -> Serie
     out = []
     for n in range(cap + 1):
         data: dict = {}
+        den = 1
         for i in range(n + 1):
             fi, gj = f.coeffs[i], g.coeffs[n - i]
             if fi and gj:
-                _accumulate(data, mul(fi, gj)._terms)
-        out.append(Elem._trusted(f.sort, data))
+                den = _accumulate_elem(data, mul(fi, gj), 1, den)
+        out.append(Elem._trusted(f.sort, data, den))
     return Series(f.sort, out, cap)
 
 
@@ -563,8 +687,10 @@ def series_inverse(f: Series, mul: Callable[[Elem, Elem], Elem]) -> Series:
     inv = [unit]
     for n in range(1, f.cap + 1):
         data: dict = {}
+        den = 1
         for k in range(1, n + 1):
             if f.coeffs[k]:
-                _accumulate(data, mul(f.coeffs[k], inv[n - k])._terms, -1)
-        inv.append(Elem._trusted(f.sort, data))
+                den = _accumulate_elem(data, mul(f.coeffs[k], inv[n - k]), -1,
+                                       den)
+        inv.append(Elem._trusted(f.sort, data, den))
     return Series(f.sort, inv, f.cap)

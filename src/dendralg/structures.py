@@ -32,8 +32,8 @@ from fractions import Fraction
 from .dendriform import DendriformStructure
 from .errors import RBWeightCheckFailure
 from .ncalg import (
-    BasisSort, Elem, Perm, Word, PERM_SORT, WORD_SORT, _accumulate, _bad_key,
-    _perms, _words, as_scalar,
+    BasisSort, Elem, Perm, Word, PERM_SORT, WORD_SORT, _bad_key, _bilinear,
+    _linear, _perms, _relabel, _words, as_scalar,
 )
 
 __all__ = [
@@ -267,23 +267,18 @@ class FreeStructure(DendriformStructure):
     name = "free"
     sort = TREE_SORT
 
+    # u * v on trees, the leaf the unit key, is read from the structure's
+    # own product tables, so each pair of subtrees is multiplied once
+
     def basis_left(self, t: Tree, s: Tree) -> Elem:
         left, right = t
-        return Elem._trusted(TREE_SORT, {Tree(left, m): c
-                                         for m, c in self._star_keys(right, s)})
+        return _relabel(self.star(self.elem(right), self.elem(s)),
+                        lambda m: Tree(left, m))
 
     def basis_right(self, t: Tree, s: Tree) -> Elem:
         left, right = s
-        return Elem._trusted(TREE_SORT, {Tree(m, right): c
-                                         for m, c in self._star_keys(t, left)})
-
-    def _star_keys(self, u: Tree, v: Tree):
-        """u * v on trees as (tree, coeff) pairs; the leaf is the unit key.
-
-        Read from the structure's own product tables, so each pair of
-        subtrees is multiplied once.
-        """
-        return self.star(self.elem(u), self.elem(v))._terms.items()
+        return _relabel(self.star(self.elem(t), self.elem(left)),
+                        lambda m: Tree(m, right))
 
     def degree(self, key: Tree) -> int:
         return key.deg
@@ -453,17 +448,10 @@ class RBStructure(DendriformStructure):
     # carrier-level helpers (unit key never appears here)
 
     def carrier_mul(self, x: Elem, y: Elem) -> Elem:
-        mul_keys = self.backend.mul_keys
-        pairs = [(key, c1 * c2 * c)
-                 for k1, c1 in x._terms.items() for k2, c2 in y._terms.items()
-                 for key, c in mul_keys(k1, k2)]
-        return Elem._trusted(self.sort, _accumulate({}, pairs))
+        return _bilinear(self.sort, x, y, self.backend.mul_keys)
 
     def R(self, x: Elem) -> Elem:
-        r_key = self.backend.r_key
-        pairs = [(key2, c * c2)
-                 for key, c in x._terms.items() for key2, c2 in r_key(key)]
-        return Elem._trusted(self.sort, _accumulate({}, pairs))
+        return _linear(self.sort, x, self.backend.r_key)
 
     def R_tilde(self, x: Elem) -> Elem:
         """The companion operator -theta*id - R, of the same weight."""

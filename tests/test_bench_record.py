@@ -3,6 +3,7 @@ without running the benchmark."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,26 @@ def test_bad_input_is_refused_before_any_run(tmp_path, make):
                      "--seeds", "1", "--claim", claim, "--change-note", "x"])
     assert exc.value.code == 2
     assert not (ROOT / "BENCH_0.json").exists()
+
+
+def test_outputs_names_what_differs(monkeypatch):
+    printed = {"parent": {"verify --seed 0": [0, "aa"], "expand a": [0, "bb"]},
+               "change": {"verify --seed 0": [0, "aa"], "expand a": [1, "bb"],
+                          "expand b": [0, "cc"]}}
+
+    def run(argv, cwd, **kwargs):
+        return subprocess.CompletedProcess(argv, 0,
+                                           json.dumps(printed[cwd.name]), "")
+
+    monkeypatch.setattr(record.subprocess, "run", run)
+    out = record.outputs({side: Path(side) for side in record.SIDES})
+    assert out["compared"] == 2
+    assert out["differing"] == ["expand a", "expand b"]
+    assert out["identical"] is False
+    assert out["sha256"]["parent"] != out["sha256"]["change"]
+    printed["change"] = printed["parent"]
+    assert record.outputs({side: Path(side) for side in record.SIDES})[
+        "identical"] is True
 
 
 def test_the_committed_record_has_the_layout():

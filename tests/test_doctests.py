@@ -202,6 +202,26 @@ def test_an_axioms_request_never_executes_the_unused_modules():
     assert not {f"dendralg.{m}" for m in LAZY} & set(out["executed"])
 
 
+# request -> the lazily loaded modules it may execute, and must; an axioms
+# request executes none of them (the test above)
+IMPORT_BUDGET = {
+    ("verify", "--suite", "spitzer", "--structure", "mr", "--n", "3"):
+        {"lyndon"},
+    ("verify", "--suite", "magnus", "--structure", "mr", "--cap", "3"):
+        {"magnus"},
+}
+
+
+@pytest.mark.parametrize("argv", IMPORT_BUDGET, ids=lambda argv: argv[2])
+def test_a_request_executes_only_the_lazy_modules_it_uses(argv):
+    """Compiling and running hopf, lyndon or magnus is paid only by the
+    requests that call into them."""
+    out = _request(*argv)
+    assert out["code"] == 0
+    executed = {m for m in LAZY if f"dendralg.{m}" in out["executed"]}
+    assert executed == IMPORT_BUDGET[argv]
+
+
 def test_a_census_request_executes_lyndon():
     out = _request("verify", "--suite", "census")
     assert out["code"] == 0

@@ -18,7 +18,8 @@ from dendralg import (
     bernoulli_numbers, from_selector, magnus_omega, opposite, random_element,
     series_mul,
 )
-from dendralg.errors import SortMismatch
+from dendralg.dendriform import OppositeStructure
+from dendralg.errors import AxiomCheckFailure, SortMismatch
 from dendralg.ncalg import PERM_SORT, WORD_SORT, linear_combination
 from dendralg.lyndon import e_block_sum, right_chain_sum, spitzer_sums
 from dendralg.magnus import prelie_word_series
@@ -63,11 +64,16 @@ def elements(S, unit=False):
 
 
 def canonical(e):
-    """Every stored coefficient is nonzero and has its one representation:
-    an int, or a Fraction with a denominator above 1."""
-    return all(c != 0 and (type(c) is int
-                           or type(c) is Fraction and c.denominator > 1)
-               for c in e._terms.values())
+    """The stored form: int numerators, none of them zero, over one int
+    den >= 1 that shares no factor with all of them; and every public
+    scalar in its one representation, an int or a Fraction with a
+    denominator above 1."""
+    nums = list(e._terms.values())
+    return (type(e._den) is int and e._den >= 1
+            and all(type(c) is int and c != 0 for c in nums)
+            and math.gcd(e._den, *nums) == 1
+            and all(type(c) is int or type(c) is Fraction and c.denominator > 1
+                    for _, c in e.items()))
 
 
 def reference_half(S, basis_fn, x, y):
@@ -217,6 +223,159 @@ def test_series_products_stay_canonical(data):
     g = Series(S.sort, [-c for c in coeffs], 2)
     for h in (series_mul(f, g, S.star), series_mul(f, f, S.star) + g):
         assert all(canonical(e) for e in h.coeffs)
+
+
+# -- the kernel against plain Fraction dicts ----------------------------------
+#
+# The reference keeps every element as a key -> Fraction dict, read through
+# the public items(), and never calls the kernel: it adds dicts by hand and
+# multiplies operator carriers from their backends' own key maps.
+
+ORACLE_CASES = ("mr", "rb-polymat:k=2", "rb-seqmat:theta=2/3,k=2,N=4",
+                "opposite(rb-polymat:k=2)")
+
+
+def frac(e):
+    """An element as its key -> Fraction dict."""
+    return {k: Fraction(c) for k, c in e.items()}
+
+
+def combine(*pairs):
+    """sum(c * d) over (dict, scalar) pairs, zeros dropped."""
+    out = {}
+    for d, c in pairs:
+        for k, v in d.items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def carrier_half(backend, variant, side, x, y):
+    """A half-product of an operator carrier on dicts, from its definition:
+    plain a < b = aR(b) + theta ab, a > b = R(a)b; primed moves theta ab."""
+    def mul(u, v):
+        return combine(*(({key: c1 * c2}, c) for k1, c1 in u.items()
+                         for k2, c2 in v.items()
+                         for key, c in backend.mul_keys(k1, k2)))
+
+    def R(u):
+        return combine(*(({key: c}, s) for k, c in u.items()
+                         for key, s in backend.r_key(k)))
+
+    weighted = (variant == "plain") == (side == 0)
+    out = mul(x, R(y)) if side == 0 else mul(R(x), y)
+    return combine((out, 1), (mul(x, y), backend.theta if weighted else 0))
+
+
+def dict_half(S, side, x, y):
+    """x < y (side 0) or x > y (side 1) on unit-free dicts."""
+    if isinstance(S, OppositeStructure):
+        return combine((dict_half(S.base, 1 - side, y, x), -1))
+    if isinstance(S, RBStructure):
+        return carrier_half(S.backend, S.variant, side, x, y)
+    basis_fn = (S.basis_left, S.basis_right)[side]
+    return combine(*((frac(basis_fn(k1, k2)), c1 * c2)
+                     for k1, c1 in x.items() for k2, c2 in y.items()))
+
+
+def dict_star(S, x, y):
+    """x * y on dicts, the unit adjoined."""
+    unit = S.sort.unit_key
+    cx, cy = x.get(unit, 0), y.get(unit, 0)
+    a = {k: c for k, c in x.items() if k != unit}
+    b = {k: c for k, c in y.items() if k != unit}
+    return combine(({unit: 1}, cx * cy), (b, cx), (a, cy),
+                   (dict_half(S, 0, a, b), 1), (dict_half(S, 1, a, b), 1))
+
+
+scalars = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@pytest.mark.parametrize("selector", ORACLE_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), c=scalars, d=scalars)
+def test_linear_operations_match_fraction_dicts(selector, data, c, d):
+    S = structure(selector)
+    x = data.draw(elements(S, unit=True))
+    y = data.draw(elements(S, unit=True))
+    fx, fy = frac(x), frac(y)
+    cases = [
+        (x + y, combine((fx, 1), (fy, 1))),
+        (x - y, combine((fx, 1), (fy, -1))),
+        (-x, combine((fx, -1))),
+        (x.scale(c), combine((fx, c))),
+        (linear_combination(S.sort, [(x, c), (y, d)]),
+         combine((fx, c), (fy, d))),
+    ]
+    if c:
+        cases.append((x / c, combine((fx, 1 / c))))
+    for e, expected in cases:
+        assert frac(e) == expected
+        assert canonical(e)
+    with pytest.raises(ZeroDivisionError):
+        x / 0
+
+
+@pytest.mark.parametrize("selector", ORACLE_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_products_match_fraction_dicts(selector, data):
+    S = structure(selector)
+    x, y = data.draw(elements(S)), data.draw(elements(S))
+    for side, product in enumerate((S.left(x, y), S.right(x, y))):
+        assert frac(product) == dict_half(S, side, frac(x), frac(y))
+        assert canonical(product)
+    x = data.draw(elements(S, unit=True))
+    y = data.draw(elements(S, unit=True))
+    product = S.star(x, y)
+    assert frac(product) == dict_star(S, frac(x), frac(y))
+    assert canonical(product)
+
+
+@pytest.mark.parametrize("selector", ORACLE_CASES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_series_mul_matches_fraction_dicts(selector, data):
+    S = structure(selector)
+    f = [data.draw(elements(S, unit=True)) for _ in range(3)]
+    g = [data.draw(elements(S, unit=True)) for _ in range(3)]
+    h = series_mul(Series(S.sort, f, 2), Series(S.sort, g, 2), S.star)
+    for n in range(3):
+        expected = combine(*((dict_star(S, frac(f[i]), frac(g[n - i])), 1)
+                             for i in range(n + 1)))
+        assert frac(h.coeff(n)) == expected
+        assert canonical(h.coeff(n))
+
+
+class ThirdWeightLeft(RBStructure):
+    """The theta=2/3 carrier with its < weighted by 1/3 instead."""
+
+    def basis_left(self, k1, k2):
+        x = self.elem(k1)
+        return (self.carrier_mul(x, self.R(self.elem(k2)))
+                + self.carrier_mul(x, self.elem(k2)).scale(Fraction(1, 3)))
+
+
+def test_self_test_on_the_two_thirds_carrier():
+    """Every one of the 16^3 key triples holds on the theta=2/3 carrier, whose
+    tables hold dens of 3, and on its opposite; with < weighted by 1/3 the
+    self-test reports a triple whose sides do differ, by the half-products
+    that the tests above check against Fraction dicts."""
+    S = structure("rb-seqmat:theta=2/3,k=2,N=4")
+    assert S.self_test(3) == 16 ** 3
+    assert opposite(S).self_test(3) == 16 ** 3
+    W = ThirdWeightLeft(S.backend, check=False)
+    with pytest.raises(AxiomCheckFailure) as failure:
+        W.self_test(3)
+    a, b, c = (W.elem(k) for k in failure.value.keys)
+    sides = {
+        "(a<b)<c = a<(b*c)": (W.left(W.left(a, b), c), W.left(a, W.star(b, c))),
+        "(a>b)<c = a>(b<c)": (W.left(W.right(a, b), c), W.right(a, W.left(b, c))),
+        "a>(b>c) = (a*b)>c": (W.right(a, W.right(b, c)), W.right(W.star(a, b), c)),
+    }
+    lhs, rhs = sides[failure.value.axiom]
+    assert lhs != rhs
+    assert (lhs.render(max_terms=10), rhs.render(max_terms=10)) == (
+        failure.value.lhs, failure.value.rhs)
 
 
 # -- the degree-local Magnus recursion against the full-series one ----------
