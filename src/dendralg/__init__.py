@@ -47,8 +47,7 @@ _EXPORTS = {
         "power_sum_series", "star_exp", "star_log",
     ),
     "ncalg": (
-        "Elem", "Perm", "Series", "Word", "multilinear_part",
-        "series_inverse", "series_mul",
+        "Elem", "Perm", "Series", "Word", "multilinear_part", "series_mul",
     ),
     "structures": (
         "STANDARD_SELECTORS", "FreeStructure", "MaxStructure", "MRStructure",

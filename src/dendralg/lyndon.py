@@ -245,40 +245,28 @@ def spitzer_sums(S: DendriformStructure, args) -> dict:
 # Lyndon words and the factorization view of the E-blocks
 # ---------------------------------------------------------------------------
 
-def _rank(order: str):
-    if order == "increasing":
-        return lambda v: v
-    if order == "decreasing":
-        return lambda v: -v
-    raise ValueError(f"unknown letter order: {order!r}")
+def is_lyndon(seq) -> bool:
+    """Strictly smaller than all of its proper suffixes, where the larger
+    letter ranks first (the decreasing letter order)."""
+    ranked = tuple(-v for v in seq)
+    return bool(ranked) and all(ranked < ranked[i:]
+                                for i in range(1, len(ranked)))
 
 
-def is_lyndon(seq, order: str = "decreasing") -> bool:
-    """Strictly smaller than all of its proper suffixes, letters ranked by `order`."""
-    seq = tuple(seq)
-    if not seq:
-        return False
-    rank = _rank(order)
-    ranked = tuple(rank(v) for v in seq)
-    return all(ranked < ranked[i:] for i in range(1, len(ranked)))
+def cfl_factorize(seq) -> tuple:
+    """Duval's factorization into a nonincreasing product of Lyndon factors,
+    for the decreasing letter order of `is_lyndon`.
 
-
-def cfl_factorize(seq, order: str = "decreasing") -> tuple:
-    """Duval's factorization into a nonincreasing product of Lyndon factors.
-
-    With the decreasing letter order, the factors of a permutation word are
-    exactly its E-blocks.
+    The factors of a permutation word are exactly its E-blocks.
     """
     seq = tuple(seq)
-    rank = _rank(order)
-    s = [rank(v) for v in seq]
-    n = len(s)
+    n = len(seq)
     out = []
     k = 0
     while k < n:
         i, j = k, k + 1
-        while j < n and s[i] <= s[j]:
-            i = i + 1 if s[i] == s[j] else k
+        while j < n and seq[i] >= seq[j]:
+            i = i + 1 if seq[i] == seq[j] else k
             j += 1
         while k <= i:
             out.append(seq[k:k + j - i])

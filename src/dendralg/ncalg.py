@@ -29,13 +29,15 @@ does not divide the running den, first moves the sum to their lcm
 (`_common_den`), so it returns the den of the sum.
 The basis product tables of the dendriform structures store each entry as
 (den, groups), its numerators grouped by value (`_group_terms`), and
-`_accumulate_groups` is the same add for that form: one multiply per group
-rather than per term, and an entry's den folded into a running denominator
-of the sum; an entry with den 1, the case of every integral table, is added
-as it stands.  Validation (that every key belongs to the sort, that every
-coefficient is an exact scalar) happens only in the public constructor
-`Elem(sort, terms)`, where outside data comes in; it checks each term and
-then adds and normalizes through the same two steps.  Keys follow the same
+`_accumulate_groups` is the same add for that form, an entry's den folded
+into a running denominator of the sum; an entry with den 1, the case of
+every integral table, is added as it stands.  The grouping pays in memory,
+not in speed: the default `verify` peaks at 68.5 MB with it and at 74.2 MB
+with plain `Elem` entries, in the same time.  Validation (that every key
+belongs to the sort, that every coefficient is an exact scalar) happens
+only in the public constructor `Elem(sort, terms)`, where outside data
+comes in; it checks each term and then adds and normalizes through the
+same two steps.  Keys follow the same
 rule: `Word(...)` and `Perm(...)` check their letters, while `Word._trusted`
 and `Perm._trusted`, each a bare `tuple.__new__`, take data that the calling
 code builds valid by construction.
@@ -58,7 +60,6 @@ from typing import Callable, Iterable
 from .errors import (
     EmptyWord,
     InvalidPermutation,
-    NormalizationError,
     SortMismatch,
 )
 
@@ -295,7 +296,8 @@ def _group_terms(e: "Elem") -> tuple:
     value.
 
     groups is ((numerator, (key, ...)), ...), in the order the numerators
-    first occur; the form `_accumulate_groups` adds.
+    first occur; the form `_accumulate_groups` adds.  It takes less memory
+    than an `Elem` entry, not less time to add (see the module docstring).
     """
     groups: dict = {}
     for key, c in e._terms.items():
@@ -677,20 +679,3 @@ def series_mul(f: Series, g: Series, mul: Callable[[Elem, Elem], Elem]) -> Serie
                 den = _accumulate_elem(data, mul(fi, gj), 1, den)
         out.append(Elem._trusted(f.sort, data, den))
     return Series(f.sort, out, cap)
-
-
-def series_inverse(f: Series, mul: Callable[[Elem, Elem], Elem]) -> Series:
-    """Multiplicative inverse of a series with constant term 1."""
-    unit = Elem.unit(f.sort)
-    if f.coeffs[0] != unit:
-        raise NormalizationError("series inverse needs constant term 1")
-    inv = [unit]
-    for n in range(1, f.cap + 1):
-        data: dict = {}
-        den = 1
-        for k in range(1, n + 1):
-            if f.coeffs[k]:
-                den = _accumulate_elem(data, mul(f.coeffs[k], inv[n - k]), -1,
-                                       den)
-        inv.append(Elem._trusted(f.sort, data, den))
-    return Series(f.sort, inv, f.cap)

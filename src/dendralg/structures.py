@@ -316,19 +316,14 @@ def _check_carrier_size(name: str, keys: int):
                          f"the {MAX_CARRIER_KEYS} allowed")
 
 
-def _carrier_check(name: str, b0, b1, b2):
-    """The key check of an operator carrier: the unit, or a triple of ints
-    whose entries lie within b0, b1 and b2, inclusive (low, high) pairs.
-
-    Unrolled, as every element built over the carrier runs it."""
-    (lo0, hi0), (lo1, hi1), (lo2, hi2) = b0, b1, b2
-
+def _carrier_check(name: str, *bounds):
+    """The key check of an operator carrier: the unit, or a tuple of ints,
+    one per bound, each within its bound's inclusive (low, high) pair."""
     def check(key):
         if type(key) is not tuple or key and not (
-                len(key) == 3
-                and type(key[0]) is int and lo0 <= key[0] <= hi0
-                and type(key[1]) is int and lo1 <= key[1] <= hi1
-                and type(key[2]) is int and lo2 <= key[2] <= hi2):
+                len(key) == len(bounds)
+                and all(type(v) is int and lo <= v <= hi
+                        for v, (lo, hi) in zip(key, bounds))):
             _bad_key(name, key)
     return check
 
@@ -452,10 +447,6 @@ class RBStructure(DendriformStructure):
 
     def R(self, x: Elem) -> Elem:
         return _linear(self.sort, x, self.backend.r_key)
-
-    def R_tilde(self, x: Elem) -> Elem:
-        """The companion operator -theta*id - R, of the same weight."""
-        return x.scale(-self.theta) - self.R(x)
 
     def basis_left(self, k1, k2) -> Elem:
         x = Elem._trusted(self.sort, {k1: 1})

@@ -226,7 +226,7 @@ def suite_prelie_laws(options: Options):
             run.equal("right pre-Lie associator symmetric in last two", ra, rb)
             run.equal("right product is the negated flipped left product",
                       prelie_right(S, a, b), -prelie_left(S, b, a))
-            bracket = S.star(a, b) - S.star(b, a)
+            bracket = lie_bracket(S, a, b)
             run.equal("bracket = antisymmetrized left product",
                       bracket, prelie_left(S, a, b) - prelie_left(S, b, a))
             run.equal("bracket = antisymmetrized right product",

@@ -224,19 +224,19 @@ class TestDuality:
 # Lyndon words
 # ---------------------------------------------------------------------------
 
-def lyndon_by_rotations(seq, order):
-    rank = (lambda v: -v) if order == "decreasing" else (lambda v: v)
-    ranked = tuple(rank(v) for v in seq)
+def lyndon_by_rotations(seq):
+    """Strictly smaller than its proper rotations, larger letters first."""
+    ranked = tuple(-v for v in seq)
     return bool(seq) and all(ranked < ranked[i:] + ranked[:i]
                              for i in range(1, len(seq)))
 
 
-def cfl_by_greedy(seq, order):
+def cfl_by_greedy(seq):
     """Peel off the longest Lyndon prefix until nothing is left."""
     out, rest = [], tuple(seq)
     while rest:
         for size in range(len(rest), 0, -1):
-            if lyndon_by_rotations(rest[:size], order):
+            if lyndon_by_rotations(rest[:size]):
                 out.append(rest[:size])
                 rest = rest[size:]
                 break
@@ -251,18 +251,16 @@ def small_words():
 
 
 class TestLyndon:
-    @pytest.mark.parametrize("order", ["decreasing", "increasing"])
-    def test_membership_matches_rotation_oracle(self, order):
+    def test_membership_matches_rotation_oracle(self):
         for word in small_words():
-            assert is_lyndon(word, order) == lyndon_by_rotations(word, order)
+            assert is_lyndon(word) == lyndon_by_rotations(word)
 
     def test_empty_is_not_lyndon(self):
         assert not is_lyndon(())
 
-    @pytest.mark.parametrize("order", ["decreasing", "increasing"])
-    def test_factorization_matches_greedy_oracle(self, order):
+    def test_factorization_matches_greedy_oracle(self):
         for word in small_words():
-            assert cfl_factorize(word, order) == cfl_by_greedy(word, order)
+            assert cfl_factorize(word) == cfl_by_greedy(word)
 
     def test_factorization_shape(self):
         for word in small_words():

@@ -9,6 +9,7 @@ from dendralg import (
     lie_bracket, magnus_omega, power_sum_series, star_exp, star_log, w_right,
 )
 from dendralg.magnus import prelie_word_series
+from test_mutants import MUTANTS
 
 
 def test_bernoulli_values():
@@ -107,7 +108,16 @@ class TestMagnus:
 
 @pytest.mark.parametrize("fixture", ["shuffle", "free", "rb_poly"])
 def test_flow_equation(fixture, request):
-    """t dY/dt = Y * (Dynkin of Y), and its inverted form."""
+    """t dY/dt = Y * (Dynkin of Y)."""
     S = request.getfixturevalue(fixture)
     a = S.generator()
     assert dynkin_ode_check(S, a, 5)
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_the_flow_equation_alone_fails_every_mutant(mutant):
+    """The one equation dynkin_ode_check tests is strong enough by itself:
+    at cap 4 it fails every mutant of the mutation test.  (At cap 3 the
+    one-entry mutant passes, as its wrong entry has degree 4.)"""
+    S = MUTANTS[mutant]()
+    assert not dynkin_ode_check(S, S.generator(), 4)

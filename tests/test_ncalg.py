@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from dendralg import (
-    Elem, NormalizationError, Perm, Series, SortMismatch, Word,
-    InvalidPermutation, multilinear_part, series_inverse, series_mul,
+    Elem, Perm, Series, SortMismatch, Word, InvalidPermutation,
+    multilinear_part, series_mul,
 )
 from dendralg.hopf import COMP_SORT, concat_mul
 from dendralg.ncalg import WORD_SORT
@@ -216,16 +216,3 @@ class TestSeries:
         prod = series_mul(f, g, concat_mul)
         assert prod.coeff(0) == Elem.unit(WORD_SORT)
         assert prod.coeff(1) == x(1) + x(2)
-
-    def test_geometric_inverse(self):
-        """(1 - t x1)^{-1} has concatenation powers as coefficients."""
-        f = Series(WORD_SORT, [Elem.unit(WORD_SORT), -x(1), Elem.zero(WORD_SORT),
-                               Elem.zero(WORD_SORT)], 3)
-        inv = series_inverse(f, concat_mul)
-        for n in range(4):
-            assert inv.coeff(n) == Elem.term(WORD_SORT, Word((1,) * n))
-        assert series_mul(f, inv, concat_mul) == Series.unit(WORD_SORT, 3)
-
-    def test_inverse_needs_constant_one(self):
-        with pytest.raises(NormalizationError):
-            series_inverse(Series.zero(WORD_SORT, 2), concat_mul)
