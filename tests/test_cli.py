@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import dendralg
 from dendralg import (
     STANDARD_SELECTORS, SUITES, Options, SuiteReport, from_selector, run_suites,
 )
@@ -516,6 +518,69 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0
     assert "[pass] census" in proc.stdout
+
+
+def _python(*args, **kwargs):
+    """This interpreter run on this package's source, as a subprocess, with
+    stdout buffered unless args ask otherwise (-u)."""
+    src = str(Path(dendralg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], env=env, timeout=300,
+                          **kwargs)
+
+
+OMEGA_6 = ["expand", "--structure", "mr", "--op", "omega", "--n", "6"]
+
+
+def test_the_command_prints_what_main_prints(capsys):
+    """The fast exit loses nothing of a pipe's output."""
+    argv = [*OMEGA_6, "--format", "json"]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    proc = _python("-m", "dendralg", *argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, printed, "")
+
+
+def test_the_command_reports_a_usage_error_in_one_line():
+    proc = _python("-m", "dendralg", "verify", "--suite", "nope",
+                   capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("dendralg: unknown suite 'nope'")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_the_command_runs_the_atexit_handlers():
+    script = ("import atexit, runpy\n"
+              "atexit.register(print, 'atexit handler ran')\n"
+              "runpy.run_module('dendralg', run_name='__main__')\n")
+    proc = _python("-c", script, "list-suites", capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # printed after the catalogue, so the flush after the handlers wrote it
+    assert proc.stdout.startswith("axioms ")
+    assert proc.stdout.endswith("\natexit handler ran\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_a_closed_reader_ends_the_command_with_141(flags):
+    """Buffered, the final flush meets the closed pipe; unbuffered, the
+    first print inside main() does.  Either way: 128 + SIGPIPE, no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python(*flags, "-m", "dendralg", *OMEGA_6,
+                       stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_the_command_runs_without_a_stdout():
+    """Started with fd 1 closed, sys.stdout is None: nothing to flush."""
+    proc = _python("-m", "dendralg", "list-suites", stderr=subprocess.PIPE,
+                   preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def _recorded_verify(*argv):
