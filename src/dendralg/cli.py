@@ -217,12 +217,18 @@ def entry() -> NoReturn:
     again and end with os._exit, skipping the interpreter's teardown.
 
     A closed stdout pipe ends the process with 141 and no traceback.
-    argparse's SystemExit (usage errors, --help) exits the normal way.
+    argparse's exits (2 on a usage error, 0 after --help) take the same
+    path.  Under -u, argparse's --help meets a closed pipe itself, ignores
+    the error and exits 0.
     """
     try:
         code = main()
     except BrokenPipeError:
         code = 141
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
     code = _flushed(code)
     atexit._run_exitfuncs()
     os._exit(_flushed(code))

@@ -179,24 +179,17 @@ COMP_SORT = BasisSort(
 
 
 def compositions(n: int):
-    """Compositions of n in lexicographic order.
+    """Compositions of n in lexicographic order, one per set of cuts among
+    the positions 1..n-1.
 
     >>> compositions(3)
     [(1, 1, 1), (1, 2), (2, 1), (3,)]
     """
     if n == 0:
         return [()]
-    out = []
-
-    def grow(prefix, remaining):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(1, remaining + 1):
-            grow(prefix + [part], remaining - part)
-
-    grow([], n)
-    return sorted(out)
+    return sorted(tuple(b - a for a, b in itertools.pairwise((0, *cuts, n)))
+                  for size in range(n)
+                  for cuts in itertools.combinations(range(1, n), size))
 
 
 def comp_denominator(comp: tuple) -> int:

@@ -1,18 +1,21 @@
 """Permutation statistics, Lyndon factorization, and symmetrized identities.
 
-A permutation breaks into blocks in two dual ways.  Cutting just before each
-new left-to-right maximum gives the E-blocks; cutting just after each
-new-from-the-right minimum gives the F-blocks.  Feeding the E-block values
-into iterated left pre-Lie products and multiplying gives T(sigma); the
-F-blocks with iterated right pre-Lie products give U(sigma).  Summed over the
-symmetric group these match the symmetrized dendriform half-products: the
-noncommutative Bohnenblust-Spitzer identity.  By bilinearity each such sum
-is a recursion over subsets of the argument indices (`_chains`; `t` in
-`e_block_sum` peels the last E-block), memoized on index bitmasks within
-one call: O(3^n) products where the orders number n!.  The left identity
-is the right one in the opposite structure, U(sigma; S, a) = (-1)^(n-1)
-T(omega(sigma); opposite(S), reversed a), so only the right sums recurse.
-`t_sigma` and `u_sigma` build one permutation's products literally.
+A permutation breaks into blocks in two dual ways.  Its E-blocks start at
+each strict left-to-right maximum (`_e_starts`, the one cut rule here).  Its
+F-blocks end just after each value that undercuts the whole remaining tail:
+they are the E-blocks of the omega-conjugate, omega(sigma)(i) = n+1 -
+sigma(n+1-i), read back, which is how `profile` finds them.  Feeding the
+E-block values into iterated left pre-Lie products and multiplying gives
+T(sigma); the F-blocks with iterated right pre-Lie products give U(sigma).
+Summed over the symmetric group these match the symmetrized dendriform
+half-products: the noncommutative Bohnenblust-Spitzer identity.  By
+bilinearity each such sum is a recursion over subsets of the argument
+indices (`_chains`; `t` in `e_block_sum` peels the last E-block), memoized
+on index bitmasks within one call: O(3^n) products where the orders number
+n!.  The left identity is the right one in the opposite structure,
+U(sigma; S, a) = (-1)^(n-1) T(omega(sigma); opposite(S), reversed a), so
+only the right sums recurse.  `t_sigma` and `u_sigma` build one
+permutation's products literally.
 
 The E-blocks are also the Chen-Fox-Lyndon factorization of the permutation
 word for the decreasing letter order, computed independently by Duval's
@@ -20,11 +23,14 @@ algorithm.  Relabelling through a second permutation beta carves out the
 subsets of the symmetric group whose bracketed E-blocks rebuild the
 increasing word x1...xn, a Poincare-Birkhoff-Witt style expansion; counting
 permutations by E-block type recovers the composition denominators
-i1(i1+i2)...(i1+...+ik).
+i1(i1+i2)...(i1+...+ik).  The census and the expansion read their blocks
+off `_e_starts`; only `lyn_set` scans for maxima itself, fused with its
+filter so that it leaves a permutation at the first block that fails.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -46,37 +52,25 @@ __all__ = [
 ]
 
 
-def _e_cuts(image: tuple) -> tuple:
-    """Positions k (1-based) with image[k] a strict running maximum so far."""
-    out = []
-    best = image[0]
-    for k in range(1, len(image)):
-        if image[k] > best:
-            out.append(k)
-            best = image[k]
-    return tuple(out)
+def _e_starts(image) -> list:
+    """The 0-based positions of the strict running maxima of image: where
+    its E-blocks start (position 0 first, unless image is empty)."""
+    starts, best = [], 0
+    for k, v in enumerate(image):
+        if v > best:
+            starts.append(k)
+            best = v
+    return starts
 
 
-def _f_cuts(image: tuple) -> tuple:
-    """Positions l (1-based) with image[l-1] below the whole tail minimum."""
-    n = len(image)
-    out = []
-    tail_min = None
-    for l in range(n - 1, 0, -1):
-        tail_min = image[l] if tail_min is None else min(tail_min, image[l])
-        if image[l - 1] < tail_min:
-            out.append(l)
-    return tuple(reversed(out))
+def _cut(seq, bounds: list) -> tuple:
+    """The slices of seq between successive bounds, as tuples."""
+    return tuple(tuple(seq[a:b]) for a, b in itertools.pairwise(bounds))
 
 
-def _blocks(n: int, cuts: tuple) -> tuple:
-    """Consecutive 1-based position blocks obtained by cutting after `cuts`."""
-    out, start = [], 1
-    for c in cuts:
-        out.append(tuple(range(start, c + 1)))
-        start = c + 1
-    out.append(tuple(range(start, n + 1)))
-    return tuple(out)
+def _e_values(image) -> tuple:
+    """The values of image's E-blocks, in reading order."""
+    return _cut(image, _e_starts(image) + [len(image)])
 
 
 class Profile(NamedTuple):
@@ -104,12 +98,15 @@ def profile(sigma) -> Profile:
     if not sigma:
         raise EmptyWord("statistics need a nonempty permutation")
     n = len(sigma)
-    e_set, f_set = _e_cuts(sigma), _f_cuts(sigma)
-    e_blocks, f_blocks = _blocks(n, e_set), _blocks(n, f_set)
-    values = lambda blocks: tuple(tuple(sigma[p - 1] for p in b) for b in blocks)
-    return Profile(sigma, e_set, f_set, e_blocks, f_blocks,
-                   values(e_blocks), values(f_blocks),
-                   tuple(len(b) for b in e_blocks))
+    e_bounds = _e_starts(sigma) + [n]
+    # an E-block of omega(sigma) starting at k ends at n - k once read back
+    omega_starts = _e_starts(omega_conjugate(sigma))
+    f_bounds = [0] + [n - k for k in reversed(omega_starts)]
+    e_blocks = _cut(range(1, n + 1), e_bounds)
+    return Profile(sigma, tuple(e_bounds[1:-1]), tuple(f_bounds[1:-1]),
+                   e_blocks, _cut(range(1, n + 1), f_bounds),
+                   _cut(sigma, e_bounds), _cut(sigma, f_bounds),
+                   tuple(map(len, e_blocks)))
 
 
 def omega_conjugate(sigma) -> Perm:
@@ -289,6 +286,9 @@ def lyn_set(beta) -> list:
     if not isinstance(beta, Perm):
         beta = Perm(beta)
     out = []
+    # the scan of `_e_starts`, fused with the filter: most images fail at
+    # their first blocks, and a filter over `_e_values` took about ten
+    # times as long over every beta with n <= 5
     for image in itertools.permutations(range(1, beta.n + 1)):
         best = last = 0
         for v in image:
@@ -315,29 +315,21 @@ def pbw_expansion(beta) -> Elem:
     data: dict = {}
     for sigma in lyn_set(beta):
         _accumulate(data, hopf._bracket_product(
-            tuple(beta[v - 1] for v in vals)
-            for vals in profile(sigma).e_values))
+            tuple(beta[v - 1] for v in vals) for vals in _e_values(sigma)))
     return _words(data)
 
 
 def lyndon_census(n: int) -> dict:
     """Count the permutations of 1..n by their E-block length composition.
 
-    An E-block starts at each strict running maximum, so the composition is
-    the gaps between successive starts; a sentinel n + 1 after the last
-    position closes the last block.
+    The count runs over the tuples of E-block starts; each of them then
+    gives its composition, the gaps between successive starts and n, once.
     """
-    out: dict = {}
-    for image in itertools.permutations(range(1, n + 1)):
-        comp, start, best = [], 0, 0
-        for k, v in enumerate(image + (n + 1,)):
-            if v > best:
-                if k:
-                    comp.append(k - start)
-                start, best = k, v
-        comp = tuple(comp)
-        out[comp] = out.get(comp, 0) + 1
-    return out
+    by_starts = collections.Counter(
+        tuple(_e_starts(image))
+        for image in itertools.permutations(range(1, n + 1)))
+    return {tuple(b - a for a, b in itertools.pairwise((*starts, n))): count
+            for starts, count in by_starts.items()}
 
 
 def census_formula(comp: tuple) -> int:

@@ -32,8 +32,8 @@ from fractions import Fraction
 from .dendriform import DendriformStructure
 from .errors import RBWeightCheckFailure
 from .ncalg import (
-    BasisSort, Elem, Perm, Word, PERM_SORT, WORD_SORT, _bad_key, _bilinear,
-    _linear, _perms, _relabel, _words, as_scalar,
+    BasisSort, Elem, Perm, Word, PERM_SORT, WORD_SORT, _accumulate, _bad_key,
+    _bilinear, _common_den, _linear, _perms, _relabel, _words, as_scalar,
 )
 
 __all__ = [
@@ -448,21 +448,28 @@ class RBStructure(DendriformStructure):
     def R(self, x: Elem) -> Elem:
         return _linear(self.sort, x, self.backend.r_key)
 
+    def _basis_half(self, k1, k2, left: bool) -> Elem:
+        """k1 R(k2) (left) or R(k1) k2, plus theta k1 k2 on the variant's
+        side, summed from the backend's key maps over one denominator."""
+        mul, r_key = self.backend.mul_keys, self.backend.r_key
+        parts = ([(mul(k1, key), c) for key, c in r_key(k2)] if left
+                 else [(mul(key, k2), c) for key, c in r_key(k1)])
+        if self.theta and left == (self.variant == "plain"):
+            parts.append((mul(k1, k2), self.theta))
+        data: dict = {}
+        den = 1
+        for products, c in parts:
+            t = c.denominator
+            if t != den:
+                den = _common_den(data, den, t)
+            _accumulate(data, products, c.numerator * (den // t))
+        return Elem._trusted(self.sort, data, den)
+
     def basis_left(self, k1, k2) -> Elem:
-        x = Elem._trusted(self.sort, {k1: 1})
-        y = Elem._trusted(self.sort, {k2: 1})
-        out = self.carrier_mul(x, self.R(y))
-        if self.variant == "plain" and self.theta:
-            out = out + self.carrier_mul(x, y).scale(self.theta)
-        return out
+        return self._basis_half(k1, k2, True)
 
     def basis_right(self, k1, k2) -> Elem:
-        x = Elem._trusted(self.sort, {k1: 1})
-        y = Elem._trusted(self.sort, {k2: 1})
-        out = self.carrier_mul(self.R(x), y)
-        if self.variant == "primed" and self.theta:
-            out = out + self.carrier_mul(x, y).scale(self.theta)
-        return out
+        return self._basis_half(k1, k2, False)
 
     def degree(self, key):
         return self.backend.key_degree(key)

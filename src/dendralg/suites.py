@@ -357,8 +357,7 @@ def suite_census(options: Options):
                          f"{count} != {lyndon.census_formula(comp)}")
         for n in range(1, cfl_max + 1):
             for image in itertools.permutations(range(1, n + 1)):
-                ok = (lyndon.cfl_factorize(image)
-                      == lyndon.profile(image).e_values)
+                ok = lyndon.cfl_factorize(image) == lyndon._e_values(image)
                 if not run.true(
                         f"E-blocks = decreasing-order Lyndon factors, sigma={image}",
                         ok, str(image)):

@@ -576,6 +576,32 @@ def test_a_closed_reader_ends_the_command_with_141(flags):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def test_help_to_a_closed_reader_ends_the_command_with_141():
+    """argparse's exit after --help takes entry()'s exit path, so the final
+    flush meets the closed pipe: 141, no traceback.  Under -u argparse's own
+    print meets it, ignores the error and exits 0; that path is argparse's."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _python("-m", "dendralg", "--help",
+                       stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_argparse_exits_keep_their_codes():
+    """--help to a live reader exits 0; an unknown flag exits 2 with
+    argparse's usage and error lines on stderr."""
+    proc = _python("-m", "dendralg", "--help", capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: dendralg")
+    proc = _python("-m", "dendralg", "verify", "--bogus",
+                   capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith("unrecognized arguments: --bogus\n")
+
+
 def test_the_command_runs_without_a_stdout():
     """Started with fd 1 closed, sys.stdout is None: nothing to flush."""
     proc = _python("-m", "dendralg", "list-suites", stderr=subprocess.PIPE,

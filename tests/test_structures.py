@@ -444,11 +444,14 @@ def test_rb_nested_sums_match_literal_loops(selector):
         assert _rb_nested_sums(S, args) == _literal_nested_sums(S, args)
 
 
-@pytest.mark.parametrize("S", [
+SMALL_CARRIERS = [
     *(rb_seqmat_structure(theta=th, k=k, N=n, check=False)
       for th in RB_THETAS for k in (1, 2) for n in (1, 2, 3)),
     *(rb_polymat_structure(k=k, check=False) for k in (1, 2)),
-], ids=lambda S: S.name)
+]
+
+
+@pytest.mark.parametrize("S", SMALL_CARRIERS, ids=lambda S: S.name)
 def test_weight_rule_on_every_key_pair(S):
     """R(a)R(b) = R(R(a)b + aR(b) + theta ab) on all pairs, not a sample."""
     keys = list(S.basis_keys(2))
@@ -457,6 +460,27 @@ def test_weight_rule_on_every_key_pair(S):
         inner = S.carrier_mul(S.R(a), b) + S.carrier_mul(a, S.R(b)) \
             + S.carrier_mul(a, b).scale(S.theta)
         assert S.carrier_mul(S.R(a), S.R(b)) == S.R(inner)
+
+
+@pytest.mark.parametrize("variant", ["plain", "primed"])
+@pytest.mark.parametrize("S", SMALL_CARRIERS, ids=lambda S: S.name)
+def test_halves_from_the_key_maps_match_the_operator_forms(S, variant):
+    """basis_left and basis_right, summed from the backend's key maps,
+    equal x R(y) and R(x) y plus theta xy on the variant's side, built
+    from R and carrier_mul, on every key pair up to degree 2."""
+    S = S.with_variant(variant)
+    keys = list(S.basis_keys(2))
+    for ka, kb in itertools.product(keys, repeat=2):
+        a, b = S.elem(ka), S.elem(kb)
+        theta_ab = S.carrier_mul(a, b).scale(S.theta)
+        left = S.carrier_mul(a, S.R(b))
+        right = S.carrier_mul(S.R(a), b)
+        if variant == "plain":
+            left = left + theta_ab
+        else:
+            right = right + theta_ab
+        assert S.basis_left(ka, kb) == left, (ka, kb)
+        assert S.basis_right(ka, kb) == right, (ka, kb)
 
 
 def set_partitions(items):
