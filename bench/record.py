@@ -29,9 +29,11 @@ Two parts follow.  One `perfbench/run.py --workload W --trace 1` run per
 side, at the first seed, keeps the per-layer metrics of W, the claimed
 workload (the first one when nothing is claimed).  Then the recorder
 compares what the two sides print: `verify --format json` at seeds 0 and 7,
-its elapsed_ms lines removed, and `expand` for every op on mr, free and
-rb-polymat:k=2 at n = 0..6; it keeps a digest of each output per side and
-lists the outputs that differ.
+its elapsed_ms lines removed, and `expand` for every op on mr, free,
+rb-polymat:k=2 and rb-seqmat:theta=2/3,k=2,N=4 at n = 0..6 (254 outputs;
+the last carrier's weight has a denominator, so its R and halves carry
+dens above 1); it keeps a digest of each output per side and lists the
+outputs that differ.
 """
 
 from __future__ import annotations
@@ -243,7 +245,8 @@ for seed in ("0", "7"):
     code, text = run(["verify", "--format", "json", "--seed", seed])
     outputs[f"verify --seed {seed}"] = (
         code, re.sub(r'\n *"elapsed_ms": \d+,', "", text))
-for structure in ("mr", "free", "rb-polymat:k=2"):
+for structure in ("mr", "free", "rb-polymat:k=2",
+                  "rb-seqmat:theta=2/3,k=2,N=4"):
     for op in cli.EXPAND_OPS:
         for n in range(7):
             argv = ["expand", "--structure", structure, "--op", op,

@@ -17,29 +17,33 @@ boundary: `as_scalar` and `Elem(sort, terms)` take scalars in, and `coeff`,
 `unit_coeff`, `items` and `render` give them back in the public
 representation.  All arithmetic in between is on ints.
 
-Every sum of elements inside the package goes through one accumulation path:
-`_accumulate(data, terms, c)` adds the int c times some integer numerators
-into a plain dict, and `Elem._trusted(sort, data, den)` wraps that dict as
-data / den: a C-level `0 in data.values()` test decides whether the zeros
-must be dropped, and only a den above 1 costs a gcd.  It looks at the keys
-no further.  A sum of k terms in total therefore costs O(k), however many
-summands it has.  Summands over different denominators share a running
-one: `_accumulate_elem` adds a scaled element and, when the element's den
-does not divide the running den, first moves the sum to their lcm
-(`_common_den`), so it returns the den of the sum.
-The basis product tables of the dendriform structures store each entry as
-(den, groups), its numerators grouped by value (`_group_terms`), and
-`_accumulate_groups` is the same add for that form, an entry's den folded
-into a running denominator of the sum; an entry with den 1, the case of
-every integral table, is added as it stands.  The grouping pays in memory,
-not in speed: the default `verify` peaks at 68.5 MB with it and at 74.2 MB
-with plain `Elem` entries, in the same time.  Validation (that every key
-belongs to the sort, that every coefficient is an exact scalar) happens
-only in the public constructor `Elem(sort, terms)`, where outside data
-comes in; it checks each term and then adds and normalizes through the
-same two steps.  Keys follow the same
-rule: `Word(...)` and `Perm(...)` check their letters, while `Word._trusted`
-and `Perm._trusted`, each a bare `tuple.__new__`, take data that the calling
+Every sum of elements inside the package goes through one of three adds
+into a plain dict of numerators, each kept apart for a measured reason.
+`_accumulate(data, terms, c)` adds the int c times integer numerators; its
+own c == 1 loop took 0.77-0.79 ms on a 5,000-term add against 0.84-0.85 ms
+for the general one.  `_accumulate_scaled(data, terms, c, den, t)` is the
+den step, the one place where a scalar's numerator and denominator meet a
+sum: it adds the exact scalar c times numerators over t into data over
+den, first moving the sum to the lcm (`_common_den`) when needed, and
+returns the den of the sum.  Sums of scaled elements,
+`Elem(sort, terms)`, the operator R (`_linear`) and the operator carriers'
+halves all take it.  `_accumulate_groups` adds a product-table entry of
+the dendriform structures, stored as (den, groups), its numerators grouped
+by value (`_group_terms`); an entry with den 1, the case of every integral
+table, is added as it stands.  It keeps its own loop, the hottest one:
+routed through `_accumulate` it was no faster on mr table entries and up
+to 20% slower.  The grouping pays in memory, not in speed: the default
+`verify` peaks at 68.5 MB with it and at 74.2 MB with (den, dict) entries.
+`Elem._trusted(sort, data, den)` wraps the dict as data / den: a C-level
+`0 in data.values()` test decides whether the zeros must be dropped, and
+only a den above 1 costs a gcd.  It looks at the keys no further, so a sum
+of k terms in total costs O(k), however many summands it has.  Validation
+(that every key belongs to the sort, that every coefficient is an exact
+scalar) happens only in the public constructor `Elem(sort, terms)`, where
+outside data comes in; it checks each term, adds it through the den step
+and normalizes as `_trusted` does.  Keys follow the same rule: `Word(...)`
+and `Perm(...)` check their letters, while `Word._trusted` and
+`Perm._trusted`, each a bare `tuple.__new__`, take data that the calling
 code builds valid by construction.
 
 Every basis key of every sort is a tuple: a `Word` or a `Perm` (and the
@@ -236,10 +240,6 @@ def _accumulate(data: dict, terms, c: int = 1) -> dict:
         for key, v in items:
             old = get(key)
             data[key] = v if old is None else old + v
-    elif c == -1:
-        for key, v in items:
-            old = get(key)
-            data[key] = -v if old is None else old - v
     else:
         for key, v in items:
             v = c * v
@@ -279,15 +279,17 @@ def _common_den(data: dict, den: int, t: int) -> int:
     return den
 
 
-def _accumulate_elem(data: dict, e: "Elem", c: Scalar, den: int = 1) -> int:
-    """Add the exact scalar c times e into data, whose values are numerators
-    over den, and return the denominator of the sum (see `_common_den`)."""
-    t = e._den * c.denominator
+def _accumulate_scaled(data: dict, terms, c: Scalar, den: int = 1,
+                       t: int = 1) -> int:
+    """Add the exact scalar c times terms, integer numerators over t, into
+    data, whose values are numerators over den, through `_accumulate`, and
+    return the denominator of the sum (see `_common_den`)."""
+    t *= c.denominator
     p = c.numerator
     if t != den:
         den = _common_den(data, den, t)
         p *= den // t
-    _accumulate(data, e._terms, p)
+    _accumulate(data, terms, p)
     return den
 
 
@@ -350,15 +352,9 @@ def _linear(sort: "BasisSort", x: "Elem", fn) -> "Elem":
     scalar) pairs on keys of sort."""
     data: dict = {}
     den = 1
-    get = data.get
     for k, c in x._terms.items():
         for key, v in fn(k):
-            t = v.denominator
-            if t != den:
-                den = _common_den(data, den, t)
-            v = c * v.numerator * (den // t)
-            old = get(key)
-            data[key] = v if old is None else old + v
+            den = _accumulate_scaled(data, ((key, c),), v, den)
     return Elem._trusted(sort, data, x._den * den)
 
 
@@ -379,17 +375,13 @@ class Elem:
 
     def __init__(self, sort: BasisSort, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
-        checked = []
+        data: dict = {}
         den = 1
         for key, c in items:
             c = as_scalar(c)
             sort.check(key)
-            checked.append((key, c))
-            den = math.lcm(den, c.denominator)
-        if den != 1:
-            checked = [(key, c.numerator * (den // c.denominator))
-                       for key, c in checked]
-        data, den = _normal(_accumulate({}, checked), den)
+            den = _accumulate_scaled(data, ((key, 1),), c, den)
+        data, den = _normal(data, den)
         _set_sort(self, sort)
         _set_terms(self, data)
         _set_den(self, den)
@@ -471,13 +463,14 @@ class Elem:
         if len(big._terms) < len(small._terms):
             big, small = small, big
         data = dict(big._terms)
-        den = _accumulate_elem(data, small, 1, big._den)
+        den = _accumulate_scaled(data, small._terms, 1, big._den, small._den)
         return Elem._trusted(self.sort, data, den)
 
     def __sub__(self, other: "Elem") -> "Elem":
         self._require_same_sort(other)
         data = dict(self._terms)
-        den = _accumulate_elem(data, other, -1, self._den)
+        den = _accumulate_scaled(data, other._terms, -1, self._den,
+                                 other._den)
         return Elem._trusted(self.sort, data, den)
 
     def __neg__(self) -> "Elem":
@@ -512,7 +505,7 @@ class Elem:
         for key, c in self._terms.items():
             image = fn(key)
             self._require_same_sort(image)
-            den = _accumulate_elem(data, image, c, den)
+            den = _accumulate_scaled(data, image._terms, c, den, image._den)
         return Elem._trusted(self.sort, data, self._den * den)
 
     def render(self, max_terms: int | None = None) -> str:
@@ -556,7 +549,7 @@ def linear_combination(sort: BasisSort, pairs) -> Elem:
     for e, c in pairs:
         if not isinstance(e, Elem) or e.sort != sort:
             raise SortMismatch(f"expected an element over {sort.name!r}, got {e!r}")
-        den = _accumulate_elem(data, e, as_scalar(c), den)
+        den = _accumulate_scaled(data, e._terms, as_scalar(c), den, e._den)
     return Elem._trusted(sort, data, den)
 
 
@@ -676,6 +669,7 @@ def series_mul(f: Series, g: Series, mul: Callable[[Elem, Elem], Elem]) -> Serie
         for i in range(n + 1):
             fi, gj = f.coeffs[i], g.coeffs[n - i]
             if fi and gj:
-                den = _accumulate_elem(data, mul(fi, gj), 1, den)
+                p = mul(fi, gj)
+                den = _accumulate_scaled(data, p._terms, 1, den, p._den)
         out.append(Elem._trusted(f.sort, data, den))
     return Series(f.sort, out, cap)

@@ -309,6 +309,19 @@ class TestExitCodeContract:
         assert err.startswith("dendralg: bad structure")
         assert err.count("\n") == 1 and "40000000000000000 keys" in err
 
+    def test_a_long_sequence_carrier_is_refused_at_once(self):
+        """4,096 keys pass the key cap, but the weight check on N = 4096
+        took 40 s; the carrier is refused before it is built."""
+        start = time.perf_counter()
+        proc = _python("-m", "dendralg", "verify", "--suite", "rb-nested",
+                       "--structure", "rb-seqmat:theta=1,k=1,N=4096",
+                       capture_output=True, text=True)
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("dendralg: bad structure")
+        assert "more than 256 positions" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_no_traceback_from_the_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "dendralg", "verify", "--structure",

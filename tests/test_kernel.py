@@ -249,21 +249,27 @@ def combine(*pairs):
     return {k: v for k, v in out.items() if v}
 
 
+def carrier_mul(backend, u, v):
+    """The carrier product of two dicts, from the backend's mul_keys."""
+    return combine(*(({key: c1 * c2}, c) for k1, c1 in u.items()
+                     for k2, c2 in v.items()
+                     for key, c in backend.mul_keys(k1, k2)))
+
+
+def carrier_R(backend, u):
+    """The operator on a dict, from the backend's r_key."""
+    return combine(*(({key: c}, s) for k, c in u.items()
+                     for key, s in backend.r_key(k)))
+
+
 def carrier_half(backend, variant, side, x, y):
     """A half-product of an operator carrier on dicts, from its definition:
     plain a < b = aR(b) + theta ab, a > b = R(a)b; primed moves theta ab."""
-    def mul(u, v):
-        return combine(*(({key: c1 * c2}, c) for k1, c1 in u.items()
-                         for k2, c2 in v.items()
-                         for key, c in backend.mul_keys(k1, k2)))
-
-    def R(u):
-        return combine(*(({key: c}, s) for k, c in u.items()
-                         for key, s in backend.r_key(k)))
-
     weighted = (variant == "plain") == (side == 0)
-    out = mul(x, R(y)) if side == 0 else mul(R(x), y)
-    return combine((out, 1), (mul(x, y), backend.theta if weighted else 0))
+    out = (carrier_mul(backend, x, carrier_R(backend, y)) if side == 0
+           else carrier_mul(backend, carrier_R(backend, x), y))
+    return combine((out, 1), (carrier_mul(backend, x, y),
+                              backend.theta if weighted else 0))
 
 
 def dict_half(S, side, x, y):
@@ -344,6 +350,38 @@ def test_series_mul_matches_fraction_dicts(selector, data):
                              for i in range(n + 1)))
         assert frac(h.coeff(n)) == expected
         assert canonical(h.coeff(n))
+
+
+OPERATOR_CASES = ("rb-polymat:k=2", "rb-seqmat:theta=2/3,k=2,N=4")
+
+
+@pytest.mark.parametrize("selector", OPERATOR_CASES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_operator_and_carrier_product_match_fraction_dicts(selector, data):
+    """R sums scalar images over a running den, carrier_mul over the
+    product of the dens."""
+    S = structure(selector)
+    x, y = data.draw(elements(S)), data.draw(elements(S))
+    for e, expected in ((S.R(x), carrier_R(S.backend, frac(x))),
+                        (S.carrier_mul(x, y),
+                         carrier_mul(S.backend, frac(x), frac(y)))):
+        assert frac(e) == expected
+        assert canonical(e)
+
+
+@pytest.mark.parametrize("selector", ("mr",) + OPERATOR_CASES)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_public_constructor_matches_fraction_dicts(selector, data):
+    """Elem(sort, pairs) sums repeated keys over mixed denominators."""
+    S = structure(selector)
+    keys = list(S.basis_keys(2))[:3] + [S.sort.unit_key]
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(keys), scalars),
+                               max_size=8))
+    e = Elem(S.sort, pairs)
+    assert frac(e) == combine(*(({k: 1}, c) for k, c in pairs))
+    assert canonical(e)
 
 
 class ThirdWeightLeft(RBStructure):

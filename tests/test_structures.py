@@ -21,8 +21,8 @@ from dendralg import (
 from dendralg.errors import SortMismatch
 from dendralg.ncalg import PERM_SORT, WORD_SORT
 from dendralg.structures import (
-    LEAF, MAX_CARRIER_KEYS, TREE_SORT, PolyMatBackend, SeqMatBackend, Tree,
-    _sample_pairs, enumerate_trees,
+    LEAF, MAX_CARRIER_KEYS, MAX_SEQ_LENGTH, TREE_SORT, PolyMatBackend,
+    SeqMatBackend, Tree, _sample_pairs, enumerate_trees,
 )
 from dendralg.suites import RB_THETAS, _rb_nested_sums
 
@@ -577,6 +577,27 @@ def test_weight_violation_is_caught():
     assert S.R(S.elem((1, 1, 1))) == seq(S, 1, 1, 1)
 
 
+class _NoThetaHalves(RBStructure):
+    """Halves that drop the theta term, R and carrier_mul untouched."""
+
+    def _basis_half(self, k1, k2, left):
+        x, y = self.elem(k1), self.elem(k2)
+        return (self.carrier_mul(x, self.R(y)) if left
+                else self.carrier_mul(self.R(x), y))
+
+
+def test_halves_without_the_theta_term_fail_the_weight_check():
+    """The check reads a * b through star, so it sees the halves, not only
+    R and the carrier product; N = 3, k = 1 checks all 9 key pairs."""
+    with pytest.raises(RBWeightCheckFailure):
+        _NoThetaHalves(SeqMatBackend(1, 1, 3))
+    S = _NoThetaHalves(SeqMatBackend(1, 1, 3), check=False)
+    e1 = S.elem((1, 1, 1))
+    assert S.carrier_mul(S.R(e1), S.R(e1)) == seq(S, 0, 1, 1)
+    # e1 R(e1) + R(e1) e1 = 0: the lost theta e1 e1 is all of e1 * e1
+    assert not S.star(e1, e1)
+
+
 def _listed_pairs(keys, sample, rng):
     """The reference draw: build every pair, then sample the list."""
     pairs = [(a, b) for a in keys for b in keys]
@@ -683,6 +704,15 @@ class TestSelectors:
             SeqMatBackend(1, 32, 5)
         with pytest.raises(ValueError, match="4225 keys"):
             PolyMatBackend(65)
+
+
+    def test_seqmat_sequences_are_capped(self):
+        """N = 256 builds; a longer sequence is refused, whatever its key
+        count, before the weight check multiplies its partial sums."""
+        assert MAX_SEQ_LENGTH == 256
+        assert from_selector("rb-seqmat:theta=1,k=1,N=256").backend.N == 256
+        with pytest.raises(ValueError, match="more than 256 positions"):
+            from_selector("rb-seqmat:theta=1,k=1,N=257")
 
 
 class TestGenerators:
