@@ -21,6 +21,14 @@ evaluating compositions back into a structure turns all of this into exact
 element identities: the Dynkin image of w>(n) is the iterated left pre-Lie
 word, and both power sums expand as composition-indexed sums of pre-Lie
 blocks over the denominators i1(i1+i2)...(i1+...+ik).
+
+Two rules carry these sums.  Every composition of m ends at the partial sum
+m, so a sum weighted by 1/(i1(i1+i2)...) is 1/m times the sum over the last
+part of (the sum on the rest) (the last block): `_weighted_sums`, and
+`_convolution_sum` on letter positions.  That needs only linearity, no
+dendriform law, so the checks stay genuine; `ordered_partition_expansion`
+stays a flat enumeration, the convolution identity's independent route.
+`_evaluate` is the one map out of the composition algebra.
 """
 
 from __future__ import annotations
@@ -100,35 +108,31 @@ def dynkin_word(w) -> Elem:
     return _words(_accumulate({}, _bracket_terms(w)))
 
 
-def _dynkin_convolution(comp: tuple, w: tuple) -> dict:
-    """(D_{i1} * ... * D_{ik})(w) as a letters -> coefficient dict: the last
-    piece brackets the letters at each ik-subset of positions, the others
-    convolve the rest, and the images concatenate.  The empty composition
-    is the unit, fixing the empty word and killing every other."""
-    if not comp:
-        return {} if w else {(): 1}
-    n, data = len(w), {}
-    for picked in itertools.combinations(range(n), comp[-1]):
-        left = _dynkin_convolution(
-            comp[:-1], tuple(w[i] for i in range(n) if i not in picked))
-        if left:
-            right = _bracket_terms(tuple(w[i] for i in picked))
-            _accumulate(data, ((u + v, c * d) for u, c in left.items()
-                               for v, d in right))
-    return data
+def _convolution_sum(letters: tuple) -> Elem:
+    """Sum over compositions c of len(letters) of D_c(letters)/den(c), D_c the
+    convolution of the Dynkin pieces along c: on m letters, 1/m times the sum
+    over nonempty position sets P of (the sum on the other letters) D(the
+    letters at P).  Memoized on the remaining letters within the call."""
+    @functools.cache
+    def total(rest: tuple) -> Elem:
+        if not rest:
+            return Elem.unit(WORD_SORT)
+        return linear_combination(WORD_SORT, (
+            (concat_mul(total(tuple(a for a, b in zip(rest, at) if not b)),
+                        dynkin_word(Word(itertools.compress(rest, at)))),
+             Fraction(1, len(rest)))
+            for at in itertools.product((0, 1), repeat=len(rest)) if any(at)))
+
+    return total(tuple(letters))
 
 
 def convolution_expansion(n: int) -> Elem:
     """Apply sum over compositions of D_{i1}*...*D_{ik}/denominator to x1...xn.
 
-    The result equals x1...xn itself: the graded Dynkin pieces assembled with
-    composition denominators reconstruct the identity endomorphism.
+    The result (`_convolution_sum`) equals x1...xn itself: the graded Dynkin
+    pieces with composition denominators reconstruct the identity endomorphism.
     """
-    word = tuple(range(1, n + 1))
-    return linear_combination(WORD_SORT, (
-        (_words(_dynkin_convolution(comp, word)),
-         Fraction(1, comp_denominator(comp)))
-        for comp in compositions(n)))
+    return _convolution_sum(tuple(range(1, n + 1)))
 
 
 def ordered_partition_expansion(n: int) -> Elem:
@@ -249,15 +253,9 @@ def _generator_antipode(n: int) -> Elem:
 
 
 def comp_antipode(x) -> Elem:
-    """Antipode: anti-morphism extending the generator recursion."""
-    x = _comp_elem(x)
-    parts = []
-    for key, coeff in x.items():
-        term = Elem.unit(COMP_SORT)
-        for part in reversed(key):
-            term = comp_mul(term, _generator_antipode(part))
-        parts.append((term, coeff))
-    return linear_combination(COMP_SORT, parts)
+    """Antipode: the anti-morphism taking each generator to its closed form."""
+    return _evaluate(x, _generator_antipode,
+                     lambda term, b: comp_mul(b, term), Elem.unit(COMP_SORT))
 
 
 def comp_grading(x) -> Elem:
@@ -285,17 +283,18 @@ def comp_dynkin(n: int) -> Elem:
 # evaluation back into a dendriform structure
 # ---------------------------------------------------------------------------
 
+def _evaluate(x, block, mul, unit: Elem) -> Elem:
+    """The map out of the free composition algebra sending (i1..ik) to
+    mul(...mul(mul(unit, block(i1)), block(i2))..., block(ik)), linearly."""
+    return linear_combination(unit.sort, (
+        (functools.reduce(lambda t, i: mul(t, block(i)), key, unit), c)
+        for key, c in _comp_elem(x).items()))
+
+
 def eval_comp(S: DendriformStructure, a: Elem, x) -> Elem:
     """Evaluate a composition element: (i1..ik) becomes w>(i1) * ... * w>(ik)."""
-    x = _comp_elem(x)
-    w = functools.cache(lambda i: w_right(S, a, i))
-    parts = []
-    for key, coeff in x.items():
-        term = S.unit()
-        for part in key:
-            term = S.star(term, w(part))
-        parts.append((term, coeff))
-    return linear_combination(S.sort, parts)
+    return _evaluate(x, functools.cache(lambda i: w_right(S, a, i)), S.star,
+                     S.unit())
 
 
 def w_antipode(S: DendriformStructure, a: Elem, n: int) -> Elem:
@@ -320,21 +319,20 @@ def dynkin_w(S: DendriformStructure, a: Elem, n: int) -> Elem:
     return eval_comp(S, a, comp_dynkin(n))
 
 
-def _composition_sum(n: int, block, mul, unit: Elem) -> Elem:
-    """Sum over compositions (i1..ik) of n of
-    mul(...mul(mul(unit, block(i1)), block(i2))..., block(ik))
-    / (i1(i1+i2)...(i1+...+ik)).
+def _weighted_sums(n: int, block, mul, unit: Elem) -> list:
+    """g_0..g_n, g_m the sum over compositions (i1..ik) of m of
+    mul(...mul(unit, block(i1))..., block(ik)) / (i1(i1+i2)...(i1+...+ik)).
 
-    The one composition-weighted sum of the module; n = 0 gives the unit,
-    the sum over the empty composition.
+    Grouped by the last part, g_m = (1/m) sum over i of mul(g_(m-i), block(i))
+    and g_0 = unit: n(n+1)/2 products where the compositions number 2^(n-1),
+    with mul linear in its first argument.
     """
-    parts = []
-    for comp in compositions(n):
-        term = unit
-        for part in comp:
-            term = mul(term, block(part))
-        parts.append((term, Fraction(1, comp_denominator(comp))))
-    return linear_combination(unit.sort, parts)
+    sums = [unit]
+    for m in range(1, n + 1):
+        sums.append(linear_combination(unit.sort, (
+            (mul(sums[m - i], block(i)), Fraction(1, m))
+            for i in range(1, m + 1))))
+    return sums
 
 
 def gamma_coeffs(coeffs, mul, unit: Elem):
@@ -342,12 +340,11 @@ def gamma_coeffs(coeffs, mul, unit: Elem):
 
     Input: h_1..h_cap (index 0 entry ignored, must be zero).  Output g_0..g_cap
     with g_n = sum over compositions (i1..ik) of n of
-    h_{i1}...h_{ik} / (i1(i1+i2)...(i1+...+ik)).
+    h_{i1}...h_{ik} / (i1(i1+i2)...(i1+...+ik)), by `_weighted_sums`.
     """
     if coeffs[0]:
         raise NormalizationError("gamma needs a series with zero constant term")
-    return [_composition_sum(n, coeffs.__getitem__, mul, unit)
-            for n in range(len(coeffs))]
+    return _weighted_sums(len(coeffs) - 1, coeffs.__getitem__, mul, unit)
 
 
 def gamma(S: DendriformStructure, h: Series) -> Series:
@@ -365,20 +362,20 @@ def gamma(S: DendriformStructure, h: Series) -> Series:
 def w_right_from_compositions(S: DendriformStructure, a: Elem, n: int) -> Elem:
     """Rebuild w>(n) as a composition sum of left pre-Lie blocks.
 
-    Sum over compositions (i1..ik) of n of
+    `_weighted_sums` over compositions (i1..ik) of n of
     ell(i1)(a) * ... * ell(ik)(a) / (i1(i1+i2)...(i1+...+ik)).
     """
     block = functools.cache(lambda i: ell(S, *([a] * i)))
-    return _composition_sum(n, block, S.star, S.unit())
+    return _weighted_sums(n, block, S.star, S.unit())[n]
 
 
 def w_left_from_compositions(S: DendriformStructure, a: Elem, n: int) -> Elem:
     """Rebuild w<(n) as a composition sum of right pre-Lie blocks.
 
-    Sum over compositions (i1..ik) of n of
-    r(ik)(a) * ... * r(i1)(a) / (i1(i1+i2)...(i1+...+ik)): the blocks multiply
-    in reversed composition order while the denominator keeps the original.
+    `_weighted_sums` over compositions (i1..ik) of n of
+    r(ik)(a) * ... * r(i1)(a) / (i1(i1+i2)...(i1+...+ik)): each last block
+    multiplies on the left, while the denominator keeps composition order.
     """
     block = functools.cache(lambda i: r(S, *([a] * i)))
-    return _composition_sum(n, block, lambda term, b: S.star(b, term),
-                            S.unit())
+    return _weighted_sums(n, block, lambda term, b: S.star(b, term),
+                          S.unit())[n]

@@ -9,16 +9,17 @@ import pytest
 from dendralg import (
     Elem, EmptyWord, NormalizationError, Series, SortMismatch, Word,
     comp_antipode, comp_coproduct, comp_denominator, comp_dynkin, compositions,
-    convolution_expansion, dynkin_w, dynkin_word, ell, gamma,
-    ordered_partition_expansion, w_antipode, w_left, w_left_from_compositions,
-    w_right, w_right_from_compositions,
+    convolution_expansion, dynkin_w, dynkin_word, ell, from_selector, gamma,
+    ordered_partition_expansion, r, w_antipode, w_left,
+    w_left_from_compositions, w_right, w_right_from_compositions,
 )
 from dendralg.hopf import (
-    COMP_SORT, _dynkin_convolution, comp_dynkin_apply, comp_elem,
-    comp_grading, comp_mul, concat_mul, eval_comp,
+    COMP_SORT, _convolution_sum, comp_dynkin_apply, comp_elem, comp_grading,
+    comp_mul, concat_mul, eval_comp, gamma_coeffs,
 )
 from dendralg.magnus import power_sum_series, prelie_word_series
-from dendralg.ncalg import WORD_SORT, _words, elem_sum
+from dendralg.ncalg import WORD_SORT, elem_sum, linear_combination
+from dendralg.structures import MRStructure
 
 
 def x(*letters):
@@ -100,29 +101,6 @@ class TestDynkinClosedForm:
 # convolution of the graded Dynkin pieces
 # ---------------------------------------------------------------------------
 
-def convolution(comp, letters) -> Elem:
-    """(D_{i1} * ... * D_{ik})(letters) by the package's recursion."""
-    return _words(_dynkin_convolution(comp, letters))
-
-
-class TestConvolution:
-    def test_two_letter_identity_by_hand(self):
-        """Half the degree map plus half the square of the projection."""
-        d2, d1d1 = convolution((2,), (1, 2)), convolution((1, 1), (1, 2))
-        assert d2 == x(1, 2) - x(2, 1)
-        assert d1d1 == x(1, 2) + x(2, 1)
-        assert d2 / 2 + d1d1 / 2 == word(2)
-        assert convolution_expansion(2) == word(2)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_composition_weighted_expansion(self, n):
-        assert convolution_expansion(n) == word(n)
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_ordered_partition_expansion(self, n):
-        assert ordered_partition_expansion(n) == word(n)
-
-
 def full_convolution(f, g):
     """(f * g)(w) over all 2^n position subsets, ignoring any degree."""
     @functools.cache
@@ -154,23 +132,46 @@ def reference_convolution(comp: tuple):
         lambda w: dynkin_word(w) if len(w) == i else Elem.zero(WORD_SORT))
 
 
+class TestConvolution:
+    def test_two_letter_identity_by_hand(self):
+        """Half the degree map plus half the square of the projection."""
+        d2 = reference_convolution((2,))(Word((1, 2)))
+        d1d1 = reference_convolution((1, 1))(Word((1, 2)))
+        assert d2 == x(1, 2) - x(2, 1)
+        assert d1d1 == x(1, 2) + x(2, 1)
+        assert d2 / 2 + d1d1 / 2 == word(2)
+        assert convolution_expansion(2) == word(2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_composition_weighted_expansion(self, n):
+        assert convolution_expansion(n) == word(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_ordered_partition_expansion(self, n):
+        assert ordered_partition_expansion(n) == word(n)
+
+
 # every word over {1, 2} of each length up to 6, then x1...x6
 WORD_SETS = [list(words_over((1, 2), n)) for n in range(7)] \
     + [[tuple(range(1, 7))]]
 
 
 class TestDegreeAwareConvolution:
-    """The recursion tries only the subsets of each factor's size; the
-    reference tries them all, so off-degree words must come out zero too."""
+    """The sum's recursion regroups the compositions by the last piece's
+    positions; the reference convolves each composition's pieces over every
+    position subset, so off-degree subsets must come out zero there."""
 
     @pytest.mark.parametrize("words", WORD_SETS,
                              ids=[str(i) for i in range(len(WORD_SETS))])
     def test_matches_full_enumeration(self, words):
-        for comp in (c for n in range(6) for c in compositions(n)):
-            reference = reference_convolution(comp)
-            for letters in words:
-                assert convolution(comp, letters) == \
-                    reference(Word(letters)), (comp, letters)
+        for letters in words:
+            reference = linear_combination(WORD_SORT, (
+                (reference_convolution(comp)(Word(letters)),
+                 Fraction(1, comp_denominator(comp)))
+                for comp in compositions(len(letters))))
+            got = _convolution_sum(letters)
+            assert got == reference, letters
+            assert got == x(*letters), letters
 
 
 # ---------------------------------------------------------------------------
@@ -343,3 +344,69 @@ class TestCompositionExpansions:
         a = free.generator()
         l1, l2 = ell(free, a), ell(free, a, a)
         assert w_right(free, a, 2) == l2 / 2 + free.star(l1, l1) / 2
+
+
+# ---------------------------------------------------------------------------
+# the last-part recursion against the enumeration it replaced
+# ---------------------------------------------------------------------------
+
+def enumerated_sum(n, block, mul, unit) -> Elem:
+    """Sum over compositions (i1..ik) of n of
+    mul(...mul(mul(unit, block(i1)), block(i2))..., block(ik))
+    / (i1(i1+i2)...(i1+...+ik)), one composition at a time."""
+    parts = []
+    for comp in compositions(n):
+        term = unit
+        for part in comp:
+            term = mul(term, block(part))
+        parts.append((term, Fraction(1, comp_denominator(comp))))
+    return linear_combination(unit.sort, parts)
+
+
+RECURSION_SELECTORS = ["shuffle", "mr", "free", "rb-polymat:k=2",
+                       "rb-seqmat:theta=2/3,k=2,N=4"]
+
+built = functools.cache(from_selector)
+
+
+class CountingMR(MRStructure):
+    """mr counting its star products."""
+    stars = 0
+
+    def star(self, x, y):
+        self.stars += 1
+        return super().star(x, y)
+
+
+class TestLastPartRecursion:
+    """Regrouping by the last part leaves every composition sum unchanged."""
+
+    @pytest.mark.parametrize("selector", RECURSION_SELECTORS)
+    def test_expansions_match_the_enumeration(self, selector):
+        S = built(selector)
+        a = S.generator()
+        lblock = functools.cache(lambda i: ell(S, *([a] * i)))
+        rblock = functools.cache(lambda i: r(S, *([a] * i)))
+        for n in range(7):
+            assert w_right_from_compositions(S, a, n) == \
+                enumerated_sum(n, lblock, S.star, S.unit()), n
+            assert w_left_from_compositions(S, a, n) == enumerated_sum(
+                n, rblock, lambda t, b: S.star(b, t), S.unit()), n
+
+    @pytest.mark.parametrize("selector", RECURSION_SELECTORS)
+    def test_gamma_coeffs_match_the_enumeration(self, selector):
+        S = built(selector)
+        h = list(prelie_word_series(S, S.generator(), 6).coeffs)
+        assert gamma_coeffs(h, S.star, S.unit()) == [
+            enumerated_sum(n, h.__getitem__, S.star, S.unit())
+            for n in range(7)]
+
+    @pytest.mark.parametrize("expansion", [w_right_from_compositions,
+                                           w_left_from_compositions])
+    def test_star_products_at_degree_six(self, expansion):
+        """n(n+1)/2 = 21 products; the 32 compositions of 6 have 112 parts."""
+        S = CountingMR()
+        a = S.generator()
+        S.stars = 0
+        expansion(S, a, 6)
+        assert S.stars == 21
